@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Throughput snapshot: eigensolver and full-report cost per dimension.
 
-The sampled theorem suite in tests/test_acceptance.py budgets under a
-minute single-threaded; this prints where that time goes on the current
-machine.
+Times the one-matrix entry points (`hermitian_eig`, LAPACK eigh through
+numpy, and `full_report`, the one-row case of the stacked report kernel)
+per call.  The sampled theorem suite in tests/test_acceptance.py budgets
+under a minute single-threaded; this prints where that time goes on the
+current machine.  `perfbench/run.py` measures the end-to-end workloads.
 """
 
 import time

@@ -73,7 +73,7 @@ def _cmd_compute(args) -> int:
         _verdict_to_wire(v) for v in relations.verdicts_from_report(report, THEOREM_IDS)
     ]
     if args.chain:
-        trace = relations.proof_chain(rho, a, b)
+        trace = relations.proof_chain(rho, a, b, report=report)
         out["chain"] = {
             "t_corr_sq": trace.t_corr_sq,
             "t_triangle": trace.t_triangle,
@@ -274,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine-steps", type=int, default=200)
     p.add_argument("--top", type=int, default=10, help="how many witnesses to keep")
     p.add_argument("--out", help="write the witness file here instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (result is identical)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; changes neither the output nor the speed",
+    )
     p.set_defaults(func=_cmd_search)
     return parser
 

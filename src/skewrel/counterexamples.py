@@ -45,11 +45,6 @@ def re_ordering_triple() -> tuple[DensityMatrix, Observable, Observable]:
 BUILTIN_TRIPLE_COUNT = 2
 
 
-def builtin_triples() -> list[tuple[DensityMatrix, Observable, Observable]]:
-    """The known counterexample triples, in a fixed injection order."""
-    return [cov_variant_triple(), re_ordering_triple()]
-
-
 def builtin_triple(index: int) -> tuple[DensityMatrix, Observable, Observable]:
     if index == 0:
         return cov_variant_triple()

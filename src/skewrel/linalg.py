@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
 Everything downstream (states, uncertainty functionals, relation checks)
-is built on the operations in this module: a cyclic Jacobi eigensolver
-with complex rotations, spectral matrix powers, and the usual commutator
-and trace plumbing.  All functions are pure; matrices are never mutated
-in place.
+is built on the operations in this module: LAPACK's Hermitian eigensolver
+with a fixed ordering and phase convention, spectral matrix powers, and
+commutators.  The eigensolver works on stacks of matrices
+(``hermitian_eig_stack``); ``hermitian_eig`` is its one-matrix case.  All
+functions are pure; matrices are never mutated in place.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeSpectrum, NoConvergence, NotHermitian
 
-# Tolerances for input validation and for the eigensolver stopping rule.
+# Tolerances for input validation.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
-JACOBI_OFFDIAG_FACTOR = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -32,34 +31,26 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def as_complex_stack(m) -> np.ndarray:
+    """Coerce input to an (N, d, d) complex128 stack with finite entries."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatch(
+            f"expected a non-empty stack of square matrices, got shape {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix entries must be finite (no NaN/Inf)")
+    return a
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of one matrix or of every matrix in a stack."""
+    return m.swapaxes(-1, -2).conj()
+
+
 def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape:
         raise DimensionMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
-
-
-def adjoint(x) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(x).conj().T.copy()
-
-
-def mat_mul(x, y) -> np.ndarray:
-    x, y = as_complex_matrix(x), as_complex_matrix(y)
-    _require_same_shape(x, y)
-    return x @ y
-
-
-def mat_add(x, y) -> np.ndarray:
-    x, y = as_complex_matrix(x), as_complex_matrix(y)
-    _require_same_shape(x, y)
-    return x + y
-
-
-def scalar_mul(c: complex, x) -> np.ndarray:
-    return complex(c) * as_complex_matrix(x)
-
-
-def trace(x) -> complex:
-    return complex(np.trace(as_complex_matrix(x)))
 
 
 def frobenius_distance(x, y) -> float:
@@ -83,18 +74,26 @@ def anticommutator(x, y) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max entrywise |M - M^dagger|."""
-    return float(np.abs(m - m.conj().T).max())
+    """max entrywise |M - M^dagger|, over every matrix of a stack."""
+    return float(np.abs(m - _adjoint(m)).max())
 
 
-def require_hermitian(m, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = as_complex_matrix(m)
+def _check_hermitian(a: np.ndarray, what: str, tol: float) -> np.ndarray:
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitian(
             f"{what} is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.0e}"
         )
     return a
+
+
+def require_hermitian(m, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
+    return _check_hermitian(as_complex_matrix(m), what, tol)
+
+
+def require_hermitian_stack(ms, what: str = "matrix") -> np.ndarray:
+    """require_hermitian for every matrix of an (N, d, d) stack."""
+    return _check_hermitian(as_complex_stack(ms), what, HERMITIAN_TOL)
 
 
 @dataclass(frozen=True)
@@ -118,147 +117,67 @@ class SpectralDecomposition:
         """Sum of eigenvalue * |v><v|, i.e. the decomposed matrix."""
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
-    def apply(self, f) -> np.ndarray:
-        """Matrix function via the spectrum: sum of f(eigenvalue) * |v><v|."""
-        return (self.eigenvectors * f(self.eigenvalues)) @ self.eigenvectors.conj().T
-
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rescale each column so its largest-magnitude component is real positive."""
-    mags = np.abs(vectors)
-    pivots = vectors[np.argmax(mags, axis=0), np.arange(vectors.shape[1])]
+    """Rescale each column so its largest-magnitude component is real positive.
+
+    Takes an (N, d, d) stack of eigenvector matrices; ties between
+    equally large components go to the lowest row index.
+    """
+    cols = vectors.swapaxes(-1, -2)  # cols[n, j] is column j of matrix n
+    rows = np.arange(cols.shape[0])[:, None]
+    pivots = cols[rows, np.arange(cols.shape[1]), np.argmax(np.abs(cols), axis=-1)]
     safe = np.abs(pivots)
-    factors = np.where(safe > 0.0, pivots.conj() / np.where(safe > 0.0, safe, 1.0), 1.0)
-    return vectors * factors
+    # a zero column has a zero pivot and stays zero whatever its factor
+    return vectors * (pivots.conj() / np.where(safe > 0.0, safe, 1.0))[:, None, :]
 
 
 def sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order an eigensystem: eigenvalues descending, phases canonical.
+    """Order a stack of eigensystems: eigenvalues descending, phases canonical.
 
+    w is (N, d) and v is (N, d, d), with v[n][:, j] paired with w[n, j].
     Exact eigenvalue ties are broken by the (phase-canonical) first
     component's real part, also descending, for determinism.
     """
     v = canonical_phases(v)
-    order = np.lexsort((-v[0, :].real, -w))
-    return w[order].copy(), v[:, order].copy()
+    order = np.lexsort((-v[:, 0, :].real, -w), axis=-1)
+    rows = np.arange(w.shape[0])[:, None]
+    sorted_cols = v.swapaxes(-1, -2)[rows, order]
+    return w[rows, order], np.ascontiguousarray(sorted_cols.swapaxes(-1, -2))
 
 
-def _rotation(app: float, aqq: float, apq: complex, beta: float) -> tuple[float, complex]:
-    """(c, s) of the unitary [[c, s], [-conj(s), c]] zeroing the (p, q) entry."""
-    phase = apq / beta
-    tau = (aqq - app) / (2.0 * beta)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c * phase
+def _eigh_sorted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Work on the Hermitian average so roundoff in the input cannot feed
+    # a non-Hermitian component into the solver.
+    try:
+        w, v = np.linalg.eigh((a + _adjoint(a)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return sort_descending(w, v)
 
 
-_ROUNDS_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+def hermitian_eig_stack(ms, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a stack of Hermitian matrices with LAPACK (numpy.linalg.eigh).
 
-
-def _round_robin_rounds(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Partition all index pairs into rounds of disjoint pairs (tournament order).
-
-    Every sweep visits each pair exactly once; pairs within a round act on
-    disjoint indices, so their rotations commute and one block unitary per
-    round applies them all at once.
-    """
-    cached = _ROUNDS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    m = n + (n % 2)  # odd n gets a bye slot
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            lo, hi = players[i], players[m - 1 - i]
-            if lo > hi:
-                lo, hi = hi, lo
-            if hi < n:
-                pairs.append((lo, hi))
-        rounds.append(tuple(pairs))
-        players = [players[0], players[-1]] + players[1:-1]
-    result = tuple(rounds)
-    _ROUNDS_CACHE[n] = result
-    return result
-
-
-def hermitian_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi with complex rotations.
-
-    Every sweep visits each index pair (p, q) exactly once, in round-robin
-    rounds of disjoint pairs, applying the unitary 2x2 rotation that zeroes
-    the (p, q) entry (one block unitary per round).  Sweeps repeat until
-    the off-diagonal Frobenius norm drops below 1e-12 times the Frobenius
-    norm of the input, for at most 100 sweeps.
+    Takes an (N, d, d) stack and returns (eigenvalues, eigenvectors) of
+    shapes (N, d) and (N, d, d) in the convention of ``sort_descending``.
+    Each matrix is diagonalized on its own, so a row's result does not
+    depend on the other rows of the stack.
 
     Raises
     ------
     NotHermitian
-        if max |M - M^dagger| exceeds ``tol``.
+        if max |M - M^dagger| of any matrix exceeds HERMITIAN_TOL.
     NoConvergence
-        if the sweep budget is exhausted before the threshold is met.
+        if LAPACK fails to converge.
     """
-    a = require_hermitian(m, tol=tol)
-    n = a.shape[0]
-    # Work on the Hermitian average so roundoff in the input cannot feed
-    # a non-Hermitian component into the iteration.
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return SpectralDecomposition(a.real.diagonal().copy(), v)
-    if n == 2:
-        # one rotation diagonalizes exactly; same math, no sweep scaffolding
-        apq = a[0, 1]
-        beta = abs(apq)
-        if beta > JACOBI_OFFDIAG_FACTOR * float(np.linalg.norm(a)):
-            c, s = _rotation(a[0, 0].real, a[1, 1].real, apq, beta)
-            shift = (s * apq.conjugate()).real / c  # = t * |apq|
-            lam = np.array([a[0, 0].real - shift, a[1, 1].real + shift])
-            v = np.array([[c, s], [-s.conjugate(), c]], dtype=np.complex128)
-        else:
-            lam = a.real.diagonal().copy()
-        w, v = sort_descending(lam, v)
-        return SpectralDecomposition(w, v)
+    return _eigh_sorted(require_hermitian_stack(ms, what=what))
 
-    thresh = JACOBI_OFFDIAG_FACTOR * float(np.linalg.norm(a))
-    # Skipping pairs below thresh/n keeps every |a_pq| small enough that
-    # the off-diagonal norm still lands under thresh.
-    skip = thresh / n
-    offdiag = ~np.eye(n, dtype=bool)
-    eye = np.eye(n, dtype=np.complex128)
 
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a[offdiag]))
-        if off <= thresh:
-            converged = True
-            break
-        for pairs in _round_robin_rounds(n):
-            rot = None
-            for p, q in pairs:
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta <= skip:
-                    continue
-                c, s = _rotation(a[p, p].real, a[q, q].real, apq, beta)
-                if rot is None:
-                    rot = eye.copy()
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -s.conjugate()
-                rot[q, q] = c
-            if rot is None:
-                continue
-            a = rot.conj().T @ a @ rot
-            v = v @ rot
-    if not converged:
-        raise NoConvergence(
-            f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}) before off-diagonal "
-            f"norm reached {thresh:.3e}"
-        )
-    w, v = sort_descending(a.real.diagonal().copy(), v)
-    return SpectralDecomposition(w, v)
+def hermitian_eig(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> SpectralDecomposition:
+    """Eigensystem of one Hermitian matrix: the one-matrix case of hermitian_eig_stack."""
+    w, v = _eigh_sorted(require_hermitian(m, what=what, tol=tol)[None])
+    return SpectralDecomposition(w[0], v[0])
 
 
 def matrix_power(s: SpectralDecomposition, p: float) -> np.ndarray:

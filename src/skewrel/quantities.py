@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AlphaOutOfRange, DimensionMismatch, NegativeSpectrum, TraceNotOne
-from .linalg import SpectralDecomposition, require_hermitian
+from .linalg import SpectralDecomposition, _adjoint, require_hermitian
 
 TRACE_TOL = 1e-10
 MEAN_IMAG_TOL = 1e-12
@@ -55,15 +55,19 @@ class DensityMatrix:
     Invariants checked at construction: Hermitian within 1e-10, all
     eigenvalues >= -1e-10, trace within 1e-10 of 1.  The spectral
     decomposition and the PSD square root are computed once and reused by
-    every functional.
+    every functional.  A DensityMatrix is the one-row case of StateStack:
+    both constructors go through the stacked validation.
     """
 
     __slots__ = ("matrix", "spectral", "sqrt", "_powers")
 
     def __init__(self, matrix):
-        m = require_hermitian(matrix, what="density matrix")
-        spectral = linalg.hermitian_eig(m)
-        self._finish_init(m, spectral)
+        m = linalg.as_complex_matrix(matrix)
+        spectral = linalg.hermitian_eig(m, what="density matrix")
+        arrays = StateStack._derive(
+            m[None], spectral.eigenvalues[None], spectral.eigenvectors[None]
+        )
+        self._take_row(StateStack._trusted(*arrays), 0)
 
     @classmethod
     def from_spectral(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -75,36 +79,12 @@ class DensityMatrix:
         """
         w = np.asarray(eigenvalues, dtype=np.float64)
         v = np.asarray(eigenvectors, dtype=np.complex128)
-        n = w.shape[0]
-        if v.shape != (n, n):
-            raise DimensionMismatch(
-                f"eigenvector matrix shape {v.shape} does not match {n} eigenvalues"
-            )
-        gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
-        if gram_defect > 1e-10:
-            raise DimensionMismatch(
-                f"eigenvectors are not orthonormal: max |V^dagger V - I| = {gram_defect:.3e}"
-            )
-        w, v = linalg.sort_descending(w.copy(), v)
-        spectral = SpectralDecomposition(w, v)
-        self = cls.__new__(cls)
-        self._finish_init(spectral.reconstruct(), spectral)
-        return self
+        return StateStack.from_spectral(w[None], v[None]).state(0)
 
-    def _finish_init(self, matrix: np.ndarray, spectral: SpectralDecomposition) -> None:
-        w = spectral.eigenvalues
-        if w.min(initial=0.0) < -linalg.PSD_TOL:
-            raise NegativeSpectrum(
-                f"density matrix is not PSD: smallest eigenvalue {w.min():.3e}"
-            )
-        tr = float(w.sum())
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"density matrix has unit-trace violation: Tr = {tr!r}")
-        clean = w.copy()
-        clean[clean < EIGENVALUE_DUST] = 0.0  # also clamps tolerated negatives
-        self.matrix = (matrix + matrix.conj().T) / 2.0
-        self.spectral = SpectralDecomposition(clean, spectral.eigenvectors)
-        self.sqrt = self.spectral.apply(np.sqrt)
+    def _take_row(self, stack: "StateStack", i: int) -> None:
+        self.matrix = stack.matrix[i]
+        self.spectral = SpectralDecomposition(stack.eigenvalues[i], stack.eigenvectors[i])
+        self.sqrt = stack.sqrt[i]
         self._powers = {}
 
     @property
@@ -120,6 +100,108 @@ class DensityMatrix:
         return cached
 
 
+class StateStack:
+    """N validated states of one dimension, as stacked arrays.
+
+    matrix (N, d, d), eigenvalues (N, d) sorted descending with solver dust
+    pinned to 0, eigenvectors (N, d, d) and the PSD square roots sqrt
+    (N, d, d).  Every row is validated and derived from its own data only,
+    so a row does not depend on the rest of the stack.  Both public
+    constructors, ``StateStack(ms)`` and ``from_spectral``, check the
+    invariants of DensityMatrix on every row.
+    """
+
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "sqrt")
+
+    def __init__(self, ms):
+        """Validate an (N, d, d) stack of density matrices (one batched eigensolve)."""
+        m = linalg.as_complex_stack(ms)
+        w, v = linalg.hermitian_eig_stack(m, what="density matrix")
+        self.matrix, self.eigenvalues, self.eigenvectors, self.sqrt = self._derive(m, w, v)
+
+    @classmethod
+    def _trusted(cls, matrix, eigenvalues, eigenvectors, sqrt) -> "StateStack":
+        """A stack of arrays that already hold the invariants (no checks)."""
+        out = cls.__new__(cls)
+        out.matrix, out.eigenvalues, out.eigenvectors, out.sqrt = (
+            matrix, eigenvalues, eigenvectors, sqrt
+        )
+        return out
+
+    @classmethod
+    def from_spectral(cls, eigenvalues, eigenvectors) -> "StateStack":
+        """States from known eigensystems (N, d) and (N, d, d), skipping the eigensolver.
+
+        Each eigenvector matrix must be unitary within 1e-10; eigenvalues
+        are sorted and phase conventions applied here.
+        """
+        w = np.asarray(eigenvalues, dtype=np.float64)
+        v = np.asarray(eigenvectors, dtype=np.complex128)
+        n = w.shape[-1]
+        if w.ndim != 2 or v.shape != w.shape + (n,):
+            raise DimensionMismatch(
+                f"eigenvector matrices {v.shape[1:]} do not match eigenvalues {w.shape[1:]}"
+            )
+        gram_defect = float(np.abs(_adjoint(v) @ v - np.eye(n)).max(initial=0.0))
+        if gram_defect > 1e-10:
+            raise DimensionMismatch(
+                f"eigenvectors are not orthonormal: max |V^dagger V - I| = {gram_defect:.3e}"
+            )
+        w, v = linalg.sort_descending(w, v)
+        return cls._trusted(*cls._derive((v * w[:, None, :]) @ _adjoint(v), w, v))
+
+    @staticmethod
+    def _derive(matrix, eigenvalues, eigenvectors):
+        """Check PSD and unit trace per row, pin dust, and derive the square roots.
+
+        ``eigenvalues`` and ``eigenvectors`` must be the sorted eigensystem
+        of the Hermitian ``matrix``; returns the four stack arrays.
+        """
+        w = eigenvalues
+        lowest = w.min(initial=0.0)
+        if lowest < -linalg.PSD_TOL:
+            raise NegativeSpectrum(
+                f"density matrix is not PSD: smallest eigenvalue {lowest:.3e}"
+            )
+        tr = w.sum(axis=-1)
+        off = np.abs(tr - 1.0) > TRACE_TOL
+        if off.any():
+            raise TraceNotOne(
+                f"density matrix has unit-trace violation: Tr = {float(tr[off][0])!r}"
+            )
+        clean = np.where(w < EIGENVALUE_DUST, 0.0, w)  # also clamps tolerated negatives
+        v = eigenvectors
+        return (
+            np.ascontiguousarray((matrix + _adjoint(matrix)) / 2.0),
+            clean,
+            v,
+            (v * np.sqrt(clean)[:, None, :]) @ _adjoint(v),
+        )
+
+    def state(self, i: int) -> DensityMatrix:
+        """Row i as a DensityMatrix (sharing this stack's memory)."""
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho._take_row(self, i)
+        return rho
+
+    def take(self, rows) -> "StateStack":
+        """The selected rows, as a new stack."""
+        return StateStack._trusted(
+            self.matrix[rows], self.eigenvalues[rows], self.eigenvectors[rows], self.sqrt[rows]
+        )
+
+    def replace(self, rows, other: "StateStack") -> "StateStack":
+        """A copy of this stack with ``rows`` taken from ``other``, row for row."""
+        out = StateStack._trusted(
+            self.matrix.copy(), self.eigenvalues.copy(), self.eigenvectors.copy(), self.sqrt.copy()
+        )
+        out.matrix[rows] = other.matrix
+        out.eigenvalues[rows] = other.eigenvalues
+        out.eigenvectors[rows] = other.eigenvectors
+        out.sqrt[rows] = other.sqrt
+        return out
+
+
 @dataclass(frozen=True)
 class CenteredObservable:
     """H0 = H - Tr[rho H] I together with the mean it removed."""
@@ -130,7 +212,11 @@ class CenteredObservable:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Every scalar functional of one (rho, A, B) triple."""
+    """Every scalar functional of one (rho, A, B) triple.
+
+    full_report_stack fills the same fields with (N,) arrays, one entry
+    per triple of the stack.
+    """
 
     mean_a: float
     mean_b: float
@@ -178,17 +264,21 @@ def _real_part(t: complex, what: str) -> float:
     return t.real
 
 
-def expectation(rho: DensityMatrix, h) -> float:
-    """Tr[rho H], guaranteed real for Hermitian inputs up to roundoff."""
-    m = _as_obs_matrix(h)
+def _mean(rho: DensityMatrix, m: np.ndarray) -> float:
+    """Tr[rho M] of an already validated observable matrix."""
     _check_dims(rho, m)
     return _real_part(_tr_product(rho.matrix, m), "expectation of a Hermitian observable")
+
+
+def expectation(rho: DensityMatrix, h) -> float:
+    """Tr[rho H], guaranteed real for Hermitian inputs up to roundoff."""
+    return _mean(rho, _as_obs_matrix(h))
 
 
 def center(rho: DensityMatrix, h) -> CenteredObservable:
     """Subtract the mean: H0 = H - Tr[rho H] I."""
     m = _as_obs_matrix(h)
-    mean = expectation(rho, m)
+    mean = _mean(rho, m)
     return CenteredObservable(m - mean * np.eye(rho.dim), mean)
 
 
@@ -206,27 +296,10 @@ def covariance(rho: DensityMatrix, a, b) -> complex:
     return _tr_product(rho.matrix @ a0, b0)
 
 
-def _vij_shared(rho: DensityMatrix, h0: np.ndarray, rho_h0: np.ndarray):
-    """(V, I, J, sqrt(rho) H0) for a centered observable.
-
-    With X = sqrt(rho) H0:  I = ||i(X - X^dagger)||_F^2 / 2 and
-    J = ||X + X^dagger||_F^2 / 2, both nonnegative by construction, and
-    the identity J = 2V - I is verified before returning.
-    """
-    x = rho.sqrt @ h0
-    i_val = 0.5 * float(np.linalg.norm(x - x.conj().T)) ** 2
-    j_val = 0.5 * float(np.linalg.norm(x + x.conj().T)) ** 2
-    v_val = _real_floor(_tr_product(rho_h0, h0).real)
-    j_ident = 2.0 * v_val - i_val
-    if abs(j_val - j_ident) > 1e-10 * max(1.0, abs(j_ident)):
-        raise ArithmeticError(
-            f"J forms disagree: anticommutator {j_val!r} vs 2V - I {j_ident!r}"
-        )
-    return v_val, i_val, j_val, x
-
-
 def _vij(rho: DensityMatrix, h0: np.ndarray) -> tuple[float, float, float]:
-    return _vij_shared(rho, h0, rho.matrix @ h0)[:3]
+    """(V, I, J) of one centered observable, through the stacked kernel's helper."""
+    v, i, j, _ = _vij_stack(rho.sqrt[None], h0[None], (rho.matrix @ h0)[None])
+    return v.item(), i.item(), j.item()
 
 
 def wy_skew_information(rho: DensityMatrix, h) -> float:
@@ -313,17 +386,17 @@ class SpectralSums:
 def spectral_sums(rho: DensityMatrix, h) -> SpectralSums:
     """All three eigenbasis sums from a single pass over the matrix elements."""
     helems = matrix_elements(rho, h)
-    lam = np.clip(rho.spectral.eigenvalues, 0.0, None)
+    lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
     roots = np.sqrt(lam)
     abs_sq = np.abs(helems) ** 2
     minus_sq = np.subtract.outer(roots, roots) ** 2
     plus_sq = np.add.outer(roots, roots) ** 2
-    np.fill_diagonal(plus_sq, 0.0)
+    plus_sq.flat[:: len(lam) + 1] = 0.0
     diag = np.real(np.diagonal(helems))
     return SpectralSums(
-        skew_information=0.5 * float(np.sum(minus_sq * abs_sq)),
-        j_lower_bound=0.5 * float(np.sum(plus_sq * abs_sq)),
-        j_diagonal_term=2.0 * float(np.sum(lam * diag**2)),
+        skew_information=0.5 * float((minus_sq * abs_sq).sum()),
+        j_lower_bound=0.5 * float((plus_sq * abs_sq).sum()),
+        j_diagonal_term=2.0 * float((lam * diag**2).sum()),
     )
 
 
@@ -346,55 +419,123 @@ def spectral_j_diagonal_term(rho: DensityMatrix, h) -> float:
     return spectral_sums(rho, h).j_diagonal_term
 
 
-def full_report(rho: DensityMatrix, a, b) -> UncertaintyReport:
-    """All functionals of the triple, with internal consistency asserted.
+# The reductions below run on C-ordered operands: numpy picks the order of
+# a sum from the memory layout, and the layout numpy gives a result can
+# depend on the stack size, so without this a row's rounding could depend
+# on how many rows share its stack.
+
+
+def _tr_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr[X Y] for every pair of matrices in two stacks."""
+    return np.einsum("...ij,...ji->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix in a stack."""
+    f = np.ascontiguousarray(x).view(np.float64)
+    return np.einsum("...ij,...ij->...", f, f)
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    return values[bad][0].item()
+
+
+def _vij_stack(sqrt: np.ndarray, h0: np.ndarray, rho_h0: np.ndarray):
+    """(V, I, J, sqrt(rho) H0) for stacks of centered observables.
+
+    With X = sqrt(rho) H0:  I = ||i(X - X^dagger)||_F^2 / 2 and
+    J = ||X + X^dagger||_F^2 / 2, both nonnegative by construction, and
+    the identity J = 2V - I is verified entry by entry before returning.
+    """
+    x = sqrt @ h0
+    xh = _adjoint(x)
+    i_val = 0.5 * _sq_norms(x - xh)
+    j_val = 0.5 * _sq_norms(x + xh)
+    v_val = _tr_products(rho_h0, h0).real
+    v_val[(v_val < 0.0) & (v_val >= -ROUNDOFF_FLOOR)] = 0.0
+    j_ident = 2.0 * v_val - i_val
+    bad = np.abs(j_val - j_ident) > 1e-10 * np.maximum(1.0, np.abs(j_ident))
+    if np.count_nonzero(bad):
+        raise ArithmeticError(
+            f"J forms disagree: anticommutator {_first(j_val, bad)!r} "
+            f"vs 2V - I {_first(j_ident, bad)!r}"
+        )
+    return v_val, i_val, j_val, x
+
+
+def _report_kernel(rho: np.ndarray, sqrt: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Every functional of N triples given as (N, d, d) stacks.
+
+    Returns the UncertaintyReport fields in order, each an (N,) array.
 
     J = 2V - I and U = sqrt(I J) are recomputed from independent forms and
-    must agree to within 1e-10 (relative beyond magnitude 1).  The matrix
-    products rho A, rho B, sqrt(rho) A0, sqrt(rho) B0 are computed once
-    and shared across every functional.
+    must agree to within 1e-10 and 1e-9 (relative beyond magnitude 1) on
+    every row.  A and B go through every step together as one (2, N, d, d)
+    stack, and the products rho A, rho B, sqrt(rho) A0, sqrt(rho) B0 are
+    computed once and shared across every functional.  Each row is
+    computed from its own matrices only.
     """
+    rho = np.ascontiguousarray(rho)
+    sqrt = np.ascontiguousarray(sqrt)
+    obs = np.array((a, b))  # a new C-ordered array, whatever the layout of a and b
+    rho_obs = rho @ obs
+    tr = np.einsum("...ii->...", rho_obs)
+    bad = np.abs(tr.imag) > MEAN_IMAG_TOL * np.maximum(1.0, np.abs(tr))
+    if np.count_nonzero(bad):
+        name = "AB"[int(np.argmax(bad.any(axis=1)))]
+        raise ArithmeticError(f"mean of {name} came out complex: {_first(tr, bad)!r}")
+    means = tr.real
+    shift = means[..., None, None]
+    h0 = obs - shift * np.eye(rho.shape[-1])
+    rho_h0 = rho_obs - shift * rho
+    v, i, j, x = _vij_stack(sqrt, h0, rho_h0)
+    u = np.sqrt(np.maximum(i * j, 0.0))
+    # V^2 - (V - I)^2 = I (2V - I)
+    u_def = np.sqrt(np.maximum(i * (2.0 * v - i), 0.0))
+    bad = np.abs(u - u_def) > 1e-9 * np.maximum(1.0, u_def)
+    if np.count_nonzero(bad):
+        raise ArithmeticError(f"U forms disagree: {_first(u, bad)!r} vs {_first(u_def, bad)!r}")
+
+    # uncentered correlation, with sqrt(rho) A = sqrt(rho) A0 + mean sqrt(rho)
+    sq = x + shift * sqrt
+    t_ab = _tr_products(rho_obs[0], obs[1])
+    return (
+        means[0],
+        means[1],
+        v[0],
+        v[1],
+        i[0],
+        i[1],
+        j[0],
+        j[1],
+        u[0],
+        u[1],
+        _tr_products(rho_h0[0], h0[1]),
+        t_ab - _tr_products(sq[0], sq[1]),
+        t_ab - _tr_products(rho_obs[1], obs[0]),
+    )
+
+
+def full_report_stack(states: StateStack, a, b) -> UncertaintyReport:
+    """All functionals of N triples at once; every report field is an (N,) array.
+
+    ``a`` and ``b`` are (N, d, d) stacks of Hermitian observables matching
+    ``states``.  Row n depends on states row n, a[n] and b[n] only, so
+    the values do not depend on how samples are grouped into stacks.
+    """
+    a = linalg.require_hermitian_stack(a, what="observable")
+    b = linalg.require_hermitian_stack(b, what="observable")
+    if a.shape != states.matrix.shape or b.shape != states.matrix.shape:
+        raise DimensionMismatch(
+            f"state stack {states.matrix.shape} vs observable stacks {a.shape}, {b.shape}"
+        )
+    return UncertaintyReport(*_report_kernel(states.matrix, states.sqrt, a, b))
+
+
+def full_report(rho: DensityMatrix, a, b) -> UncertaintyReport:
+    """All functionals of one triple: the one-row case of full_report_stack."""
     ma = _as_obs_matrix(a)
     mb = _as_obs_matrix(b)
     _check_dims(rho, ma, mb)
-    eye = np.eye(rho.dim)
-
-    rho_a = rho.matrix @ ma
-    rho_b = rho.matrix @ mb
-    mean_a = _real_part(complex(np.trace(rho_a)), "mean of A")
-    mean_b = _real_part(complex(np.trace(rho_b)), "mean of B")
-    a0 = ma - mean_a * eye
-    b0 = mb - mean_b * eye
-    rho_a0 = rho_a - mean_a * rho.matrix
-    rho_b0 = rho_b - mean_b * rho.matrix
-
-    v_a, i_a, j_a, x_a = _vij_shared(rho, a0, rho_a0)
-    v_b, i_b, j_b, x_b = _vij_shared(rho, b0, rho_b0)
-    u_a = float(np.sqrt(max(i_a * j_a, 0.0)))
-    u_b = float(np.sqrt(max(i_b * j_b, 0.0)))
-    for u_val, v_val, i_val in ((u_a, v_a, i_a), (u_b, v_b, i_b)):
-        u_def = np.sqrt(max(v_val**2 - (v_val - i_val) ** 2, 0.0))
-        if abs(u_val - u_def) > 1e-9 * max(1.0, u_def):
-            raise ArithmeticError(f"U forms disagree: {u_val!r} vs {u_def!r}")
-
-    cov = _tr_product(rho_a0, b0)
-    # uncentered correlation, with sqrt(rho) A = sqrt(rho) A0 + mean sqrt(rho)
-    sq_a = x_a + mean_a * rho.sqrt
-    sq_b = x_b + mean_b * rho.sqrt
-    corr = _tr_product(rho_a, mb) - _tr_product(sq_a, sq_b)
-    comm = _tr_product(rho_a, mb) - _tr_product(rho_b, ma)
-    return UncertaintyReport(
-        mean_a=mean_a,
-        mean_b=mean_b,
-        v_a=v_a,
-        v_b=v_b,
-        i_a=i_a,
-        i_b=i_b,
-        j_a=j_a,
-        j_b=j_b,
-        u_a=u_a,
-        u_b=u_b,
-        cov=cov,
-        corr=corr,
-        commutator_avg=comm,
-    )
+    fields = _report_kernel(rho.matrix[None], rho.sqrt[None], ma[None], mb[None])
+    return UncertaintyReport(*(f.item() for f in fields))

@@ -39,7 +39,10 @@ def wire_to_matrix(data: Any, what: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                # bool is an int subclass, but JSON true/false is not a number
+                or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
+                )
             ):
                 raise MalformedDocument(f"{what}: entry ({i},{j}) is not an [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])

@@ -81,6 +81,14 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert "Hermitian" in capsys.readouterr().err
 
+    def test_boolean_entries_exit_2(self, tmp_path, capsys):
+        # JSON true/false parse as Python bools, which are ints; they are
+        # not numbers on the wire, so [[[true, false]]] must not read as 1+0j
+        path = tmp_path / "bools.json"
+        path.write_text('{"rho": [[[true, false]]], "A": [[[1, 0]]], "B": [[[1, 0]]]}')
+        assert main(["compute", str(path)]) == 2
+        assert "rho: entry (0,0) is not an [re, im] pair" in capsys.readouterr().err
+
     def test_wyd_out_of_range_exits_2(self, cov_variant_file, capsys):
         assert main(["compute", cov_variant_file, "--wyd", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewrel import linalg
-from skewrel.errors import DimensionMismatch, NegativeSpectrum, NotHermitian
+from skewrel.errors import DimensionMismatch, NegativeSpectrum, NoConvergence, NotHermitian
 
 import oracles
 
@@ -156,31 +156,99 @@ def test_commutator_dim_mismatch():
         linalg.commutator(np.eye(2), np.eye(3))
 
 
-def test_trace_and_adjoint_plumbing():
-    assert linalg.trace(np.diag([0.25, 0.75])) == pytest.approx(1.0)
+def test_frobenius_distance():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(linalg.adjoint(linalg.adjoint(x)), x)
-    assert abs(linalg.trace(x @ y) - linalg.trace(y @ x)) <= 1e-12
-    herm = oracles.random_hermitian(3, rng)
-    assert abs(linalg.trace(herm).imag) <= 1e-12
     assert linalg.frobenius_distance(x, x) == 0.0
     assert linalg.frobenius_distance(x, y) == pytest.approx(np.linalg.norm(x - y))
     with pytest.raises(DimensionMismatch):
         linalg.frobenius_distance(x, np.eye(2))
 
 
-def test_arithmetic_plumbing():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(linalg.mat_mul(x, y), x @ y)
-    np.testing.assert_array_equal(linalg.mat_add(x, y), x + y)
-    np.testing.assert_array_equal(linalg.scalar_mul(2.0 - 1.0j, x), (2.0 - 1.0j) * x)
-    for op in (linalg.mat_mul, linalg.mat_add):
-        with pytest.raises(DimensionMismatch):
-            op(x, np.eye(2))
+def _unitary(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _with_spectrum(spectrum, rng):
+    u = _unitary(len(spectrum), rng)
+    m = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _oracle_cases(n, rng):
+    """Generic, degenerate and rank-deficient Hermitian matrices of size n."""
+    yield "generic", oracles.random_hermitian(n, rng)
+    yield "degenerate", _with_spectrum([0.5, 0.5] + [0.0] * (n - 2), rng)
+    yield "clustered", _with_spectrum([2.0] * (n // 2) + [-1.0] * (n - n // 2), rng)
+    rank = max(1, n // 2)
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    yield "rank_deficient", m / np.trace(m).real
+    yield "scaled", 1e3 * oracles.random_hermitian(n, rng)
+
+
+def _eigenspace_projectors(w, v, tol):
+    """Projector onto each cluster of eigenvalues closer than tol, in order."""
+    projectors = []
+    start = 0
+    for j in range(1, len(w) + 1):
+        if j == len(w) or abs(w[j] - w[j - 1]) > tol:
+            block = v[:, start:j]
+            projectors.append((w[start], block @ block.conj().T))
+            start = j
+    return projectors
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_eig_matches_jacobi_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        for case, m in _oracle_cases(n, rng):
+            scale = max(1.0, np.linalg.norm(m))
+            s = linalg.hermitian_eig(m)
+            w_ref, v_ref = oracles.jacobi_eigh(m)
+            w_ref, v_ref = w_ref[::-1], v_ref[:, ::-1]
+            np.testing.assert_allclose(s.eigenvalues, w_ref, atol=1e-10 * scale, err_msg=case)
+            ours = _eigenspace_projectors(s.eigenvalues, s.eigenvectors, 1e-8 * scale)
+            ref = _eigenspace_projectors(w_ref, v_ref, 1e-8 * scale)
+            assert len(ours) == len(ref), case
+            for (lam, p), (lam_ref, p_ref) in zip(ours, ref):
+                assert abs(lam - lam_ref) <= 1e-10 * scale, case
+                assert np.abs(p - p_ref).max() <= 1e-9, case
+            assert np.linalg.norm(s.reconstruct() - m) <= 1e-10 * scale, case
+            gram = s.eigenvectors.conj().T @ s.eigenvectors
+            assert np.abs(gram - np.eye(n)).max() <= 1e-10, case
+
+
+def test_eig_stack_rows_equal_one_matrix_case():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 8):
+        ms = np.stack([oracles.random_hermitian(n, rng) for _ in range(6)])
+        w, v = linalg.hermitian_eig_stack(ms)
+        assert w.shape == (6, n) and v.shape == (6, n, n)
+        for k in range(6):
+            s = linalg.hermitian_eig(ms[k])
+            assert s.eigenvalues.tobytes() == w[k].tobytes()
+            assert s.eigenvectors.tobytes() == v[k].tobytes()
+
+
+def test_eig_stack_validates_every_row():
+    ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_eig_stack(ms)
+    with pytest.raises(DimensionMismatch):
+        linalg.hermitian_eig_stack(np.eye(2))
+
+
+def test_eig_lapack_failure_is_no_convergence(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergence):
+        linalg.hermitian_eig(np.eye(2))
 
 
 def _hermitian_of(draw, n):

@@ -16,7 +16,7 @@ from skewrel.errors import (
     NotHermitian,
     TraceNotOne,
 )
-from skewrel.quantities import DensityMatrix, Observable
+from skewrel.quantities import DensityMatrix, Observable, StateStack
 
 import oracles
 
@@ -89,6 +89,54 @@ class TestValidation:
         rng = np.random.default_rng(2)
         rho = DensityMatrix(oracles.random_state(5, rng))
         assert np.linalg.norm(rho.sqrt @ rho.sqrt - rho.matrix) <= 1e-9
+
+
+class TestStateStackValidation:
+    """Every public way to build a StateStack checks every row."""
+
+    GOOD = np.diag([0.75, 0.25])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian),
+            (np.diag([1.5, -0.5]), NegativeSpectrum),
+            (np.diag([0.5, 0.6]), TraceNotOne),
+        ],
+    )
+    def test_constructor_rejects_any_bad_row(self, bad, error):
+        with pytest.raises(error):
+            StateStack(np.stack([self.GOOD, bad]))
+
+    def test_from_spectral_rejects_bad_rows(self):
+        basis = np.stack([np.eye(2), np.eye(2)])
+        with pytest.raises(NegativeSpectrum):
+            StateStack.from_spectral([[0.5, 0.5], [1.5, -0.5]], basis)
+        with pytest.raises(TraceNotOne):
+            StateStack.from_spectral([[0.5, 0.5], [0.5, 0.6]], basis)
+        with pytest.raises(DimensionMismatch):
+            skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+            StateStack.from_spectral([[0.5, 0.5], [0.5, 0.5]], np.stack([np.eye(2), skew]))
+
+    def test_no_unchecked_public_constructor(self):
+        w = np.array([[1.5, -0.5]])
+        v = np.eye(2)[None]
+        with pytest.raises(TypeError):
+            StateStack(np.diag([1.5, -0.5])[None], w, v, v)
+
+    def test_rows_match_density_matrix(self):
+        rng = np.random.default_rng(5)
+        ms = np.stack([oracles.random_state(3, rng) for _ in range(4)])
+        stack = StateStack(ms)
+        for i, m in enumerate(ms):
+            rho = DensityMatrix(m)
+            np.testing.assert_array_equal(stack.state(i).sqrt, rho.sqrt)
+            np.testing.assert_array_equal(stack.eigenvalues[i], rho.spectral.eigenvalues)
+
+    def test_dust_is_pinned(self):
+        stack = StateStack(np.diag([1.0, 1e-16, 0.0])[None])
+        assert (stack.eigenvalues >= 0.0).all()
+        assert stack.eigenvalues[0, 1] == 0.0
 
 
 class TestCenterAndMoments:

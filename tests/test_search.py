@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from skewrel import search
-from skewrel.counterexamples import cov_variant_triple
+from skewrel import ensembles, quantities, search
+from skewrel.counterexamples import builtin_triple, cov_variant_triple
+from skewrel.ensembles import EnsembleSpec
 from skewrel.errors import BadSpec
 from skewrel.search import SearchTask, Witness, refine_witness, run_search
 
@@ -124,3 +127,131 @@ class TestRefinement:
             from skewrel.quantities import DensityMatrix
             state = DensityMatrix(w.rho)  # validates Hermitian/PSD/trace
             assert state.dim == 2
+
+
+def _witness_bytes(w):
+    return (
+        w.rho.tobytes(),
+        w.a.tobytes(),
+        w.b.tobytes(),
+        repr(w.objective_value),
+        w.sample_index,
+        w.refined,
+    )
+
+
+def _per_triple(task, index):
+    """Candidate `index` of a task, drawn one triple at a time."""
+    if task.dim == 2 and index < 2:
+        return builtin_triple(index)
+    return (
+        ensembles.random_density(task.state_spec(), index),
+        ensembles.random_observable(
+            task.dim, task.observable_scale, task.seed ^ ensembles.SALT_OBSERVABLE_A, index
+        ),
+        ensembles.random_observable(
+            task.dim, task.observable_scale, task.seed ^ ensembles.SALT_OBSERVABLE_B, index
+        ),
+    )
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("kind", ensembles.KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_batched_values_match_per_triple(self, kind, dim):
+        seed = 4242
+        spec = EnsembleSpec(
+            dim=dim, kind=kind, rank=dim - 1 if kind == "rank_k" else None, seed=seed
+        )
+        indices = np.arange(2, 9)
+        states = ensembles.random_density_stack(spec, indices)
+        a = ensembles.random_observable_stack(
+            dim, 1.0, seed ^ ensembles.SALT_OBSERVABLE_A, indices
+        )
+        b = ensembles.random_observable_stack(
+            dim, 1.0, seed ^ ensembles.SALT_OBSERVABLE_B, indices
+        )
+        report = quantities.full_report_stack(states, a, b)
+        for objective in search.OBJECTIVES:
+            batched = search.objective_from_report(objective, report)
+            for row, index in enumerate(indices):
+                single = search.objective_value(
+                    objective,
+                    ensembles.random_density(spec, int(index)),
+                    ensembles.random_observable(
+                        dim, 1.0, seed ^ ensembles.SALT_OBSERVABLE_A, int(index)
+                    ),
+                    ensembles.random_observable(
+                        dim, 1.0, seed ^ ensembles.SALT_OBSERVABLE_B, int(index)
+                    ),
+                )
+                assert abs(batched[row] - single) <= 1e-12 * max(1.0, abs(single))
+
+    @pytest.mark.parametrize("kind", [k for k in ensembles.KINDS if k != "rank_k"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_evaluate_all_matches_per_triple(self, kind, dim):
+        for objective in search.OBJECTIVES:
+            task = small_task(objective=objective, dim=dim, samples=6, state_kind=kind)
+            values = search.evaluate_all(task)
+            for index in range(task.samples):
+                single = search.objective_value(objective, *_per_triple(task, index))
+                assert abs(values[index] - single) <= 1e-12 * max(1.0, abs(single))
+
+    def test_chunk_boundaries_change_no_value(self):
+        # 1100 samples at d=8 span several stacks
+        task = small_task(dim=8, samples=1100, top_k=3)
+        rows = search._CHUNK_ENTRIES // 64
+        assert rows < task.samples
+        values = search.evaluate_all(task)
+        head = search.evaluate_all(replace(task, samples=40))
+        assert values[:40].tobytes() == head.tobytes()
+        for index in range(rows - 3, rows + 3):
+            single = search.objective_value(task.objective, *_per_triple(task, index))
+            assert abs(values[index] - single) <= 1e-12 * max(1.0, abs(single))
+        first = [_witness_bytes(w) for w in run_search(task)]
+        second = [_witness_bytes(w) for w in run_search(task)]
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "objective", ["min_gap_false_cov_variant", "sign_witnesses_lhs_difference"]
+    )
+    def test_lockstep_refine_equals_refining_alone(self, objective):
+        task = small_task(objective=objective, samples=60, top_k=4, refine_steps=80)
+        witnesses = run_search(task)
+        seeds = [
+            ensembles.stream_seed(task.seed ^ search._REFINE_SALT, w.sample_index)
+            for w in witnesses
+        ]
+        maximize = [
+            objective == "sign_witnesses_lhs_difference" and k == 1
+            for k in range(len(witnesses))
+        ]
+        together = search.refine_witnesses(witnesses, objective, 80, seeds, maximize)
+        alone = [
+            refine_witness(w, objective, 80, seed=s, maximize=m)
+            for w, s, m in zip(witnesses, seeds, maximize)
+        ]
+        assert [_witness_bytes(w) for w in together] == [_witness_bytes(w) for w in alone]
+        assert any(w.refined for w in together)
+        refined_search = run_search(replace(task, refine=True))
+        assert [_witness_bytes(w) for w in refined_search] == [
+            _witness_bytes(w) for w in together
+        ]
+
+    def test_lockstep_refine_dim3_rho_moves(self):
+        task = small_task(dim=3, samples=40, top_k=3)
+        witnesses = run_search(task)
+        together = search.refine_witnesses(witnesses, task.objective, 60, [5, 6, 7])
+        alone = [
+            refine_witness(w, task.objective, 60, seed=s) for w, s in zip(witnesses, [5, 6, 7])
+        ]
+        assert [_witness_bytes(w) for w in together] == [_witness_bytes(w) for w in alone]
+        for w, before in zip(together, witnesses):
+            assert w.objective_value <= before.objective_value
+            assert abs(search.reevaluate(task.objective, w) - w.objective_value) <= 1e-9
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_worker_counts_give_identical_bytes(self, refine):
+        task = small_task(samples=300, refine=refine, refine_steps=30)
+        runs = [[_witness_bytes(w) for w in run_search(task, workers=k)] for k in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
