@@ -16,6 +16,7 @@ Exit codes: 0 ok, 1 I/O or JSON parse error, 2 validation or flag error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -172,6 +173,7 @@ def _cmd_search(args) -> int:
         samples=args.samples,
         seed=args.seed,
         state_kind=args.state_kind,
+        rank=args.rank,
         purity_blend=args.purity_blend,
         observable_scale=args.scale,
         refine=args.refine,
@@ -197,6 +199,8 @@ def _cmd_search(args) -> int:
         },
         "witnesses": [],
     }
+    if task.rank is not None:
+        doc["task"]["rank"] = task.rank
     for idx, w in enumerate(witnesses):
         entry = serialize.problem_to_wire(w.rho, w.a, w.b, label=f"witness-{idx}")
         entry["objective_value"] = w.objective_value
@@ -268,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state-kind", default="ginibre_mixed", choices=list(ensembles.KINDS))
+    p.add_argument("--rank", type=int, help="state rank, required by --state-kind rank_k")
     p.add_argument("--purity-blend", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--refine", action="store_true", help="locally refine the returned witnesses")
@@ -284,10 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the validation code.
         return int(exc.code or 0)

@@ -59,7 +59,7 @@ class DensityMatrix:
     both constructors go through the stacked validation.
     """
 
-    __slots__ = ("matrix", "spectral", "sqrt", "_powers")
+    __slots__ = ("matrix", "spectral", "sqrt", "_powers", "_weights")
 
     def __init__(self, matrix):
         m = linalg.as_complex_matrix(matrix)
@@ -86,6 +86,7 @@ class DensityMatrix:
         self.spectral = SpectralDecomposition(stack.eigenvalues[i], stack.eigenvectors[i])
         self.sqrt = stack.sqrt[i]
         self._powers = {}
+        self._weights = None
 
     @property
     def dim(self) -> int:
@@ -203,14 +204,6 @@ class StateStack:
 
 
 @dataclass(frozen=True)
-class CenteredObservable:
-    """H0 = H - Tr[rho H] I together with the mean it removed."""
-
-    matrix: np.ndarray
-    mean: float
-
-
-@dataclass(frozen=True)
 class UncertaintyReport:
     """Every scalar functional of one (rho, A, B) triple.
 
@@ -235,8 +228,6 @@ class UncertaintyReport:
 
 def _as_obs_matrix(h) -> np.ndarray:
     if isinstance(h, Observable):
-        return h.matrix
-    if isinstance(h, CenteredObservable):
         return h.matrix
     return require_hermitian(h, what="observable")
 
@@ -275,24 +266,23 @@ def expectation(rho: DensityMatrix, h) -> float:
     return _mean(rho, _as_obs_matrix(h))
 
 
-def center(rho: DensityMatrix, h) -> CenteredObservable:
+def center(rho: DensityMatrix, h) -> np.ndarray:
     """Subtract the mean: H0 = H - Tr[rho H] I."""
     m = _as_obs_matrix(h)
-    mean = _mean(rho, m)
-    return CenteredObservable(m - mean * np.eye(rho.dim), mean)
+    return m - _mean(rho, m) * np.eye(rho.dim)
 
 
 def variance(rho: DensityMatrix, h) -> float:
     """V(H) = Tr[rho H0^2]."""
-    h0 = center(rho, h).matrix
+    h0 = center(rho, h)
     val = _tr_product(rho.matrix @ h0, h0).real
     return _real_floor(val)
 
 
 def covariance(rho: DensityMatrix, a, b) -> complex:
     """Cov(A, B) = Tr[rho A0 B0]; complex in general, conjugated under swap."""
-    a0 = center(rho, a).matrix
-    b0 = center(rho, b).matrix
+    a0 = center(rho, a)
+    b0 = center(rho, b)
     return _tr_product(rho.matrix @ a0, b0)
 
 
@@ -304,7 +294,7 @@ def _vij(rho: DensityMatrix, h0: np.ndarray) -> tuple[float, float, float]:
 
 def wy_skew_information(rho: DensityMatrix, h) -> float:
     """I(H) = (1/2) Tr[(i[sqrt(rho), H0])^2], nonnegative and at most V(H)."""
-    h0 = center(rho, h).matrix
+    h0 = center(rho, h)
     return _vij(rho, h0)[1]
 
 
@@ -331,13 +321,13 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
 
 def j_quantity(rho: DensityMatrix, h) -> float:
     """J(H) = (1/2) Tr[{sqrt(rho), H0}^2], cross-checked against 2V - I."""
-    h0 = center(rho, h).matrix
+    h0 = center(rho, h)
     return _vij(rho, h0)[2]
 
 
 def u_quantity(rho: DensityMatrix, h) -> float:
     """U(H) = sqrt(I J); tiny negative products from roundoff clamp to 0."""
-    h0 = center(rho, h).matrix
+    h0 = center(rho, h)
     _, i_val, j_val = _vij(rho, h0)
     return float(np.sqrt(max(i_val * j_val, 0.0)))
 
@@ -369,7 +359,7 @@ def commutator_average(rho: DensityMatrix, a, b) -> complex:
 
 def matrix_elements(rho: DensityMatrix, h) -> np.ndarray:
     """h_ij = <phi_i| H0 |phi_j> in the eigenbasis of rho (a Hermitian array)."""
-    h0 = center(rho, h).matrix
+    h0 = center(rho, h)
     v = rho.spectral.eigenvectors
     return v.conj().T @ h0 @ v
 
@@ -383,20 +373,37 @@ class SpectralSums:
     j_diagonal_term: float      # 2 sum_i l_i h_ii^2
 
 
+def _eigenbasis_weights(rho: DensityMatrix):
+    """Weights of the eigenbasis sums of rho, computed once per state.
+
+    Returns (roots, minus_sq, plus_sq, offdiag, upper): sqrt(l_i);
+    (sqrt(l_i) - sqrt(l_j))^2; (sqrt(l_i) + sqrt(l_j))^2 with a zero
+    diagonal; and the masks of i != j and of i < j.  The arrays are shared
+    by every caller and must not be modified.
+    """
+    if rho._weights is None:
+        lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
+        n = len(lam)
+        roots = np.sqrt(lam)
+        minus_sq = np.subtract.outer(roots, roots) ** 2
+        plus_sq = np.add.outer(roots, roots) ** 2
+        plus_sq.flat[:: n + 1] = 0.0
+        offdiag = ~np.eye(n, dtype=bool)
+        upper = np.triu(offdiag)
+        rho._weights = (roots, minus_sq, plus_sq, offdiag, upper)
+    return rho._weights
+
+
 def spectral_sums(rho: DensityMatrix, h) -> SpectralSums:
     """All three eigenbasis sums from a single pass over the matrix elements."""
     helems = matrix_elements(rho, h)
-    lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
-    roots = np.sqrt(lam)
+    _, minus_sq, plus_sq, _, _ = _eigenbasis_weights(rho)
     abs_sq = np.abs(helems) ** 2
-    minus_sq = np.subtract.outer(roots, roots) ** 2
-    plus_sq = np.add.outer(roots, roots) ** 2
-    plus_sq.flat[:: len(lam) + 1] = 0.0
     diag = np.real(np.diagonal(helems))
     return SpectralSums(
         skew_information=0.5 * float((minus_sq * abs_sq).sum()),
         j_lower_bound=0.5 * float((plus_sq * abs_sq).sum()),
-        j_diagonal_term=2.0 * float((lam * diag**2).sum()),
+        j_diagonal_term=2.0 * float((rho.spectral.eigenvalues * diag**2).sum()),
     )
 
 

@@ -149,22 +149,18 @@ def proof_chain(
         report = quantities.full_report(rho, a, b)
     aelem = quantities.matrix_elements(rho, a)
     belem = quantities.matrix_elements(rho, b)
-    lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
-    roots = np.sqrt(lam)
+    lam = rho.spectral.eigenvalues
+    roots, minus_sq, plus_sq, offdiag, upper = quantities._eigenbasis_weights(rho)
 
     geo = np.multiply.outer(roots, roots)       # sqrt(l_i l_j)
     coef = lam[:, None] - geo                   # l_i - sqrt(l_i l_j)
     cross = aelem * belem.T                     # a_ij b_ji
-    mask = ~np.eye(len(lam), dtype=bool)
-    corr_sum = complex((coef[mask] * cross[mask]).sum())
+    corr_sum = complex((coef[offdiag] * cross[offdiag]).sum())
     t_corr_sq = abs(corr_sum) ** 2
 
-    upper = np.triu(np.ones_like(coef, dtype=bool), k=1)
     moduli = np.abs(coef) * np.abs(cross)       # |l_i - sqrt(l_i l_j)| |a_ij| |b_ji|
     t_triangle = float((moduli[upper] + moduli.T[upper]).sum()) ** 2
 
-    minus_sq = np.subtract.outer(roots, roots) ** 2
-    plus_sq = np.add.outer(roots, roots) ** 2
     abs_a_sq = np.abs(aelem) ** 2
     abs_b_sq = np.abs(belem) ** 2
     t_schwarz = float((minus_sq * abs_a_sq)[upper].sum()) * float(

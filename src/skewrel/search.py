@@ -10,9 +10,9 @@ can always be re-scored from its stored matrices alone.
 
 Candidates are drawn and scored as stacks of (d, d) matrices, a fixed
 number of matrix entries per stack, through quantities.full_report_stack;
-refinement moves all returned witnesses in lock-step through the same
-kernel.  Every row of a stack is computed from its own data only, so
-stack boundaries change no value.
+refinement scores blocks of proposals of all returned witnesses through
+the same kernel.  Every row of a stack is computed from its own data
+only, so stack boundaries change no value.
 
 Every dim-2 search starts from the known counterexample triples, so the
 reported extremes can never be worse than the built-in cases.
@@ -40,6 +40,10 @@ _REFINE_SALT = 0x7F4A7C15F39CC060
 # at d=2, 64 at d=16.  Temporaries then stay near 10 MB at any sample
 # count; larger chunks cost memory and were no faster.
 _CHUNK_ENTRIES = 1 << 14
+# Proposals per witness scored in one stacked call during refinement.
+# Refined witnesses do not depend on it; it only trades discarded
+# proposals against per-call overhead.
+_REFINE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,7 @@ class SearchTask:
     samples: int
     seed: int = 0
     state_kind: str = "ginibre_mixed"
+    rank: int | None = None
     purity_blend: float = 0.0
     observable_scale: float = 1.0
     refine: bool = False
@@ -70,6 +75,7 @@ class SearchTask:
         return EnsembleSpec(
             dim=self.dim,
             kind=self.state_kind,
+            rank=self.rank,
             purity_blend=self.purity_blend,
             seed=self.seed,
         )
@@ -197,20 +203,6 @@ def reevaluate(objective: str, w: Witness) -> float:
     return objective_value(objective, DensityMatrix(w.rho), Observable(w.a), Observable(w.b))
 
 
-def _perturb_hermitian(m: np.ndarray, param: int, delta: float) -> None:
-    """Shift one real Hermitian coordinate of m in place: diagonal, or re/im of an off pair."""
-    n = m.shape[0]
-    i, j = divmod(param, n)
-    if i == j:
-        m[i, i] += delta
-    elif i < j:
-        m[i, j] += delta
-        m[j, i] += delta
-    else:
-        m[j, i] += 1j * delta
-        m[i, j] -= 1j * delta
-
-
 def refine_witness(
     w: Witness,
     objective: str,
@@ -226,6 +218,58 @@ def refine_witness(
     return refine_witnesses([w], objective, steps, [seed], [maximize], initial_step)[0]
 
 
+def _perturb_rows(trial: np.ndarray, which, i, j, delta) -> None:
+    """Shift one real Hermitian coordinate of every trial row, in place.
+
+    ``trial`` is a (3, N, d, d) stack of (rho, A, B); row n moves matrix
+    which[n] by delta[n] along coordinate (i[n], j[n]): the diagonal entry
+    if i == j, else the real (i < j) or imaginary (i > j) part of the
+    off-diagonal pair.
+    """
+    rows = np.arange(len(which))
+    lower = i > j
+    # entry (r, c) moves by inc, and its mirror (c, r) by conj(inc): inc
+    # itself for a real part, -inc for an imaginary part
+    r, c = np.where(lower, j, i), np.where(lower, i, j)
+    inc = np.where(lower, 1j * delta, delta)
+    mirror = np.where(lower, -inc, inc)
+    trial[which, rows, r, c] += inc
+    off = i != j
+    trial[which[off], rows[off], c[off], r[off]] += mirror[off]
+
+
+def _project(states: StateStack, rho: np.ndarray, moving: np.ndarray):
+    """Project the moved rho rows back to the state set.
+
+    Returns the trial states (``states`` with the projected rows replaced,
+    whose matrices are also written back into ``rho``) and a mask of the
+    rows whose projection is dead: nothing is left of the trace once the
+    negative eigenvalues are clipped.  One stacked eigensolve; each state
+    is built from that spectrum.
+    """
+    dead = np.zeros(len(rho), dtype=bool)
+    rows = np.flatnonzero(moving)
+    if not rows.size:
+        return states, dead
+    w, v = linalg.hermitian_eig_stack(rho[rows])
+    lam = np.clip(w, 0.0, None)
+    total = lam.sum(axis=-1)
+    ok = total > 1e-12
+    dead[rows[~ok]] = True
+    fresh = rows[ok]
+    if fresh.size:
+        states = states.replace(
+            fresh, StateStack.from_spectral(lam[ok] / total[ok, None], v[ok])
+        )
+        rho[fresh] = states.matrix[fresh]
+    return states, dead
+
+
+def _halved(step: np.ndarray, halvings: np.ndarray) -> np.ndarray:
+    """Step sizes after the given numbers of halvings, each floored at 1e-6."""
+    return np.where(halvings == 0, step, np.maximum(np.ldexp(step, -halvings), 1e-6))
+
+
 def refine_witnesses(
     witnesses: list[Witness],
     objective: str,
@@ -234,7 +278,7 @@ def refine_witnesses(
     maximize: list[bool] | None = None,
     initial_step: float = 0.1,
 ) -> list[Witness]:
-    """Coordinate-wise random descent from each witness, all in lock-step.
+    """Coordinate-wise random descent from each witness, all witnesses at once.
 
     Each step perturbs one Hermitian parameter of rho, A, or B (rho is
     projected back to the state set afterwards) and keeps the move only if
@@ -242,26 +286,34 @@ def refine_witnesses(
     at the stored value or its re-evaluation, whichever is better.  The
     step size halves after every steps/5 consecutive rejections, with a
     floor of 1e-6.  Witness k has its own stream (seeds[k]), step size and
-    patience, and every row is evaluated from its own matrices only, so
-    the result for witness k equals refining it alone.  A step that moves
-    A or B reuses the cached state; one that moves rho costs one stacked
-    eigensolve for the projection, and the state is built from that
-    spectrum.  Witnesses must share one dimension.
+    patience.  Witnesses must share one dimension.
+
+    The walk is evaluated speculatively in blocks: each round, every
+    unfinished witness builds its next _REFINE_BLOCK proposals as if all
+    of them were rejected (the step schedule is then known in advance),
+    all of them are scored in one stacked call, and each witness commits
+    its first accepted proposal, discarding the rest.  Every row is
+    evaluated from its own matrices only, so the result equals taking the
+    steps one at a time, for every block size, and witness k's result
+    equals refining it alone.
     """
     witnesses = list(witnesses)
     if steps <= 0 or not witnesses:
         return witnesses
     count = len(witnesses)
     sign = np.where(maximize if maximize is not None else [False] * count, -1.0, 1.0)
-    mats = [
-        linalg.as_complex_stack([getattr(w, name) for w in witnesses]).copy()
+    # (3, count, d, d): rho, A and B of every witness
+    mats = np.stack([
+        linalg.as_complex_stack([getattr(w, name) for w in witnesses])
         for name in ("rho", "a", "b")
-    ]
-    coords = mats[0].shape[-1] ** 2
+    ])
+    dim = mats.shape[-1]
+    coords = dim * dim
 
     seeds = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
     picks = (ensembles.uniforms(seeds, steps) * 3 * coords).astype(np.int64) % (3 * coords)
     which, param = np.divmod(picks, coords)
+    coord_i, coord_j = np.divmod(param, dim)
     deltas = ensembles.normals(seeds ^ np.uint64(_REFINE_SALT), steps)
 
     states = StateStack(mats[0])
@@ -271,48 +323,48 @@ def refine_witnesses(
     step = np.full(count, initial_step)
     patience = max(1, steps // 5)
     stale = np.zeros(count, dtype=np.int64)
+    taken = np.zeros(count, dtype=np.int64)
     improved = np.zeros(count, dtype=bool)
 
-    for k in range(steps):
-        trial = [m.copy() for m in mats]
-        for row in range(count):
-            _perturb_hermitian(trial[which[row, k]][row], param[row, k], step[row] * deltas[row, k])
-        trial_states = states
-        dead = np.zeros(count, dtype=bool)
-        moving = np.flatnonzero(which[:, k] == 0)
-        if moving.size:
-            w, v = linalg.hermitian_eig_stack(trial[0][moving])
-            lam = np.clip(w, 0.0, None)
-            total = lam.sum(axis=-1)
-            ok = total > 1e-12
-            dead[moving[~ok]] = True
-            fresh = moving[ok]
-            if fresh.size:
-                trial_states = states.replace(
-                    fresh, StateStack.from_spectral(lam[ok] / total[ok, None], v[ok])
-                )
-                trial[0][fresh] = trial_states.matrix[fresh]
+    while (live := np.flatnonzero(taken < steps)).size:
+        block = np.minimum(_REFINE_BLOCK, steps - taken[live])
+        first = np.cumsum(block) - block  # row of each live witness's first proposal
+        owner = np.repeat(live, block)
+        j = np.arange(len(owner)) - np.repeat(first, block)
+        k = taken[owner] + j
+        size = _halved(step[owner], (stale[owner] + j) // patience)
+        trial = mats.take(owner, axis=1)
+        moved = which[owner, k]
+        _perturb_rows(
+            trial, moved, coord_i[owner, k], coord_j[owner, k], size * deltas[owner, k]
+        )
+        trial_states, dead = _project(states.take(owner), trial[0], moved == 0)
         report = quantities.full_report_stack(trial_states, trial[1], trial[2])
-        value = np.where(dead, np.inf, sign * objective_from_report(objective, report))
+        value = np.where(dead, np.inf, sign[owner] * objective_from_report(objective, report))
 
-        accept = value < best
-        if accept.any():
-            rows = np.flatnonzero(accept)
-            for m, t in zip(mats, trial):
-                m[rows] = t[rows]
-            states = states.replace(rows, trial_states.take(rows))
-            best[rows] = value[rows]
-            improved[rows] = True
-        stale = np.where(accept, 0, stale + 1)
-        halve = stale >= patience
-        step[halve] = np.maximum(step[halve] / 2.0, 1e-6)
-        stale[halve] = 0
+        # the schedule after a fully rejected block, then each witness's first accept
+        run = stale[live] + block
+        step[live] = _halved(step[live], run // patience)
+        stale[live] = run % patience
+        taken[live] += block
+        hit = np.minimum.reduceat(np.where(value < best[owner], j, _REFINE_BLOCK), first)
+        won = hit < block
+        if won.any():
+            winners = live[won]
+            rows = first[won] + hit[won]
+            step[winners] = size[rows]
+            stale[winners] = 0
+            taken[winners] = k[rows] + 1
+            mats[:, winners] = trial[:, rows]
+            states = states.replace(winners, trial_states.take(rows))
+            best[winners] = value[rows]
+            improved[winners] = True
 
     return [
         Witness(
-            rho=mats[0][row].copy(),
-            a=mats[1][row].copy(),
-            b=mats[2][row].copy(),
+            rho=mats[0, row].copy(),
+            a=mats[1, row].copy(),
+            b=mats[2, row].copy(),
             objective_value=float(sign[row] * best[row]),
             sample_index=w.sample_index,
             refined=True,

@@ -3,10 +3,16 @@
 Everything here deliberately avoids the package's own code paths: a
 cyclic Jacobi eigensolver with complex rotations for eigensystems (the
 library uses LAPACK), direct trace formulas for the functionals, and
-explicit double loops for the eigenbasis sums.
+explicit double loops for the eigenbasis sums.  The one exception is
+lockstep_refine, the one-step-at-a-time reference walk for witness
+refinement: it uses the library's evaluation path on purpose, so that
+comparing it with search.refine_witnesses isolates the walk schedule.
 """
 
 import numpy as np
+
+from skewrel import ensembles, linalg, quantities, search
+from skewrel.quantities import StateStack
 
 JACOBI_OFFDIAG_FACTOR = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -163,3 +169,98 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def _perturb_hermitian(m: np.ndarray, param: int, delta: float) -> None:
+    """Shift one real Hermitian coordinate of m in place: diagonal, or re/im of an off pair."""
+    n = m.shape[0]
+    i, j = divmod(param, n)
+    if i == j:
+        m[i, i] += delta
+    elif i < j:
+        m[i, j] += delta
+        m[j, i] += delta
+    else:
+        m[j, i] += 1j * delta
+        m[i, j] -= 1j * delta
+
+
+def lockstep_refine(witnesses, objective, steps, seeds, maximize=None, initial_step=0.1):
+    """search.refine_witnesses taken one step at a time, all witnesses in lock-step.
+
+    Same streams, step schedule, projection and acceptance rule; every
+    step scores exactly one proposal per witness.
+    """
+    witnesses = list(witnesses)
+    if steps <= 0 or not witnesses:
+        return witnesses
+    count = len(witnesses)
+    sign = np.where(maximize if maximize is not None else [False] * count, -1.0, 1.0)
+    mats = [
+        linalg.as_complex_stack([getattr(w, name) for w in witnesses]).copy()
+        for name in ("rho", "a", "b")
+    ]
+    coords = mats[0].shape[-1] ** 2
+
+    seeds = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
+    picks = (ensembles.uniforms(seeds, steps) * 3 * coords).astype(np.int64) % (3 * coords)
+    which, param = np.divmod(picks, coords)
+    deltas = ensembles.normals(seeds ^ np.uint64(search._REFINE_SALT), steps)
+
+    states = StateStack(mats[0])
+    report = quantities.full_report_stack(states, mats[1], mats[2])
+    start = sign * search.objective_from_report(objective, report)
+    best = np.minimum(start, sign * np.array([w.objective_value for w in witnesses]))
+    step = np.full(count, initial_step)
+    patience = max(1, steps // 5)
+    stale = np.zeros(count, dtype=np.int64)
+    improved = np.zeros(count, dtype=bool)
+
+    for k in range(steps):
+        trial = [m.copy() for m in mats]
+        for row in range(count):
+            _perturb_hermitian(trial[which[row, k]][row], param[row, k], step[row] * deltas[row, k])
+        trial_states = states
+        dead = np.zeros(count, dtype=bool)
+        moving = np.flatnonzero(which[:, k] == 0)
+        if moving.size:
+            w, v = linalg.hermitian_eig_stack(trial[0][moving])
+            lam = np.clip(w, 0.0, None)
+            total = lam.sum(axis=-1)
+            ok = total > 1e-12
+            dead[moving[~ok]] = True
+            fresh = moving[ok]
+            if fresh.size:
+                trial_states = states.replace(
+                    fresh, StateStack.from_spectral(lam[ok] / total[ok, None], v[ok])
+                )
+                trial[0][fresh] = trial_states.matrix[fresh]
+        report = quantities.full_report_stack(trial_states, trial[1], trial[2])
+        value = np.where(dead, np.inf, sign * search.objective_from_report(objective, report))
+
+        accept = value < best
+        if accept.any():
+            rows = np.flatnonzero(accept)
+            for m, t in zip(mats, trial):
+                m[rows] = t[rows]
+            states = states.replace(rows, trial_states.take(rows))
+            best[rows] = value[rows]
+            improved[rows] = True
+        stale = np.where(accept, 0, stale + 1)
+        halve = stale >= patience
+        step[halve] = np.maximum(step[halve] / 2.0, 1e-6)
+        stale[halve] = 0
+
+    return [
+        search.Witness(
+            rho=mats[0][row].copy(),
+            a=mats[1][row].copy(),
+            b=mats[2][row].copy(),
+            objective_value=float(sign[row] * best[row]),
+            sample_index=w.sample_index,
+            refined=True,
+        )
+        if improved[row]
+        else w
+        for row, w in enumerate(witnesses)
+    ]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skewrel import serialize
+from skewrel import cli, serialize
 from skewrel.cli import main
 from skewrel.counterexamples import cov_variant_triple, re_ordering_triple
 
@@ -216,3 +216,54 @@ class TestSearch:
 
     def test_bad_flag_exits_2(self, capsys):
         assert main(["search", "--objective", "false_cov_variant", "--samples", "0"]) == 2
+
+    def test_rank_k_search(self, tmp_path, capsys):
+        out = tmp_path / "rank.json"
+        argv = [
+            "search", "--objective", "false_cov_variant", "--dim", "3", "--samples", "40",
+            "--top", "3", "--state-kind", "rank_k", "--rank", "2", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["task"]["rank"] == 2
+        for entry in doc["witnesses"]:
+            rho, _, _, _ = serialize.problem_from_wire(entry)
+            assert np.count_nonzero(rho.spectral.eigenvalues > 1e-10) <= 2
+
+    def test_rank_k_without_rank_exits_2(self, capsys):
+        argv = ["search", "--objective", "false_cov_variant", "--dim", "3", "--state-kind", "rank_k"]
+        assert main(argv) == 2
+        assert "rank_k requires 1 <= rank <= dim, got None" in capsys.readouterr().err
+
+    def test_rank_absent_from_task_block_unless_given(self, tmp_path, capsys):
+        doc = json.loads(self.run_search_cli(tmp_path, "w.json", ["--samples", "5"]))
+        assert "rank" not in doc["task"]
+
+
+class TestParserReuse:
+    def test_bad_flag_then_good_calls_match_fresh_parser(self, cov_variant_file, tmp_path, capsys):
+        witness = str(tmp_path / "w.json")
+        calls = [
+            ["compute", cov_variant_file, "--chain", "--wyd", "0.3"],
+            ["check", cov_variant_file, "--relations", "false_cov_variant"],
+            ["search", "--objective", "re_ordering", "--samples", "50", "--top", "2",
+             "--refine", "--refine-steps", "10", "--wyd", "0.5"],
+            ["search", "--objective", "re_ordering", "--samples", "50", "--top", "2",
+             "--refine", "--refine-steps", "10", "--out", witness],
+            ["check", witness, "--relations", "false_re_ordering,schrodinger_wy"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out = capsys.readouterr().out
+            return code, out, (open(witness, "rb").read() if "--out" in argv else None)
+
+        first = []
+        for argv in calls:
+            cli._parser.cache_clear()  # as the first call of a process
+            first.append(run(argv))
+        assert [code for code, _, _ in first] == [0, 3, 2, 0, 3]
+
+        assert main(["compute", "--no-such-flag", cov_variant_file]) == 2
+        capsys.readouterr()
+        assert [run(argv) for argv in calls] == first

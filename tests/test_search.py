@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from skewrel import ensembles, quantities, search
 from skewrel.counterexamples import builtin_triple, cov_variant_triple
 from skewrel.ensembles import EnsembleSpec
@@ -155,6 +156,20 @@ def _per_triple(task, index):
     )
 
 
+def _refine_inputs(task):
+    """The witnesses of a task with the seeds and directions run_search refines them with."""
+    witnesses = run_search(task)
+    seeds = [
+        ensembles.stream_seed(task.seed ^ search._REFINE_SALT, w.sample_index)
+        for w in witnesses
+    ]
+    maximize = [
+        task.objective == "sign_witnesses_lhs_difference" and k == 1
+        for k in range(len(witnesses))
+    ]
+    return witnesses, seeds, maximize
+
+
 class TestBatchedPath:
     @pytest.mark.parametrize("kind", ensembles.KINDS)
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -217,15 +232,7 @@ class TestBatchedPath:
     )
     def test_lockstep_refine_equals_refining_alone(self, objective):
         task = small_task(objective=objective, samples=60, top_k=4, refine_steps=80)
-        witnesses = run_search(task)
-        seeds = [
-            ensembles.stream_seed(task.seed ^ search._REFINE_SALT, w.sample_index)
-            for w in witnesses
-        ]
-        maximize = [
-            objective == "sign_witnesses_lhs_difference" and k == 1
-            for k in range(len(witnesses))
-        ]
+        witnesses, seeds, maximize = _refine_inputs(task)
         together = search.refine_witnesses(witnesses, objective, 80, seeds, maximize)
         alone = [
             refine_witness(w, objective, 80, seed=s, maximize=m)
@@ -255,3 +262,93 @@ class TestBatchedPath:
         task = small_task(samples=300, refine=refine, refine_steps=30)
         runs = [[_witness_bytes(w) for w in run_search(task, workers=k)] for k in (1, 2, 4)]
         assert runs[0] == runs[1] == runs[2]
+
+
+def _assert_matches_lockstep(witnesses, objective, steps, seeds, maximize=None, **kw):
+    block = search.refine_witnesses(witnesses, objective, steps, seeds, maximize, **kw)
+    lockstep = oracles.lockstep_refine(witnesses, objective, steps, seeds, maximize, **kw)
+    assert [_witness_bytes(w) for w in block] == [_witness_bytes(w) for w in lockstep]
+    return block
+
+
+class TestSpeculativeRefine:
+    """The block walk of refine_witnesses against the one-step-at-a-time reference."""
+
+    @pytest.mark.parametrize("kind", ["ginibre_mixed", "pure", "degenerate_spectrum"])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("objective", search.OBJECTIVES)
+    def test_matches_lockstep(self, objective, dim, kind):
+        task = small_task(objective=objective, dim=dim, samples=30, top_k=3, state_kind=kind)
+        witnesses, seeds, maximize = _refine_inputs(task)
+        refined = _assert_matches_lockstep(witnesses, objective, 40, seeds, maximize)
+        assert any(w.refined for w in refined)
+
+    @pytest.mark.parametrize("steps", [1, 5, 8, 21])
+    def test_steps_below_and_off_block_multiples(self, steps):
+        assert search._REFINE_BLOCK == 8
+        witnesses, seeds, maximize = _refine_inputs(small_task(samples=40, top_k=4))
+        _assert_matches_lockstep(witnesses, "min_gap_false_cov_variant", steps, seeds, maximize)
+
+    def test_maximize_rows_of_sign_objective(self):
+        task = small_task(objective="sign_witnesses_lhs_difference", dim=3, samples=50)
+        witnesses, seeds, maximize = _refine_inputs(task)
+        assert maximize == [False, True]
+        refined = _assert_matches_lockstep(witnesses, task.objective, 60, seeds, maximize)
+        assert refined[1].objective_value >= witnesses[1].objective_value
+
+    def test_single_witness(self):
+        witnesses, seeds, _ = _refine_inputs(small_task(samples=20, top_k=1))
+        assert len(witnesses) == 1
+        _assert_matches_lockstep(witnesses, "min_gap_false_cov_variant", 45, seeds)
+
+    def test_top_10(self):
+        task = small_task(objective="min_gap_re_ordering", dim=3, samples=60, top_k=10)
+        witnesses, seeds, maximize = _refine_inputs(task)
+        assert len(witnesses) == 10
+        _assert_matches_lockstep(witnesses, task.objective, 50, seeds, maximize)
+
+    def test_step_floor(self):
+        # steps < 10 gives patience 1, so every rejection halves the step
+        # and 3e-6 reaches the 1e-6 floor after two rejections
+        witnesses, seeds, _ = _refine_inputs(small_task(dim=3, samples=20, top_k=3))
+        _assert_matches_lockstep(
+            witnesses, "min_gap_false_cov_variant", 9, seeds, initial_step=3e-6
+        )
+
+    def test_halved_matches_repeated_halving(self):
+        for start in (0.1, 3e-6, 1e-6, 1e-8, 0.0):
+            step = start
+            for h in range(30):
+                got = search._halved(np.array([start]), np.array([h]))[0]
+                assert got == step
+                step = max(step / 2.0, 1e-6)
+
+    def test_dead_projections(self, monkeypatch):
+        # From |0><0|, a step of size ~50 down the (0, 0) entry leaves no
+        # positive eigenvalue, so that projection is dead.
+        dead_rows = []
+        project = search._project
+
+        def counting(states, rho, moving):
+            out = project(states, rho, moving)
+            dead_rows.append(int(out[1].sum()))
+            return out
+
+        monkeypatch.setattr(search, "_project", counting)
+        objective = "min_gap_false_cov_variant"
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        witnesses = []
+        for index in range(4):
+            a = ensembles.random_observable(2, 1.0, 11, index).matrix
+            b = ensembles.random_observable(2, 1.0, 12, index).matrix
+            value = search.objective_value(objective, quantities.DensityMatrix(rho), a, b)
+            witnesses.append(Witness(rho, a, b, value, index))
+        _assert_matches_lockstep(witnesses, objective, 60, [1, 2, 3, 4], initial_step=50.0)
+        assert sum(dead_rows) > 0
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_block_size_changes_no_byte(self, monkeypatch, block):
+        task = small_task(dim=3, samples=40, top_k=4, refine=True, refine_steps=70)
+        default = [_witness_bytes(w) for w in run_search(task)]
+        monkeypatch.setattr(search, "_REFINE_BLOCK", block)
+        assert [_witness_bytes(w) for w in run_search(task)] == default
