@@ -14,9 +14,6 @@ from .errors import (
 )
 from .linalg import (
     SpectralDecomposition,
-    anticommutator,
-    commutator,
-    frobenius_distance,
     hermitian_eig,
     hermitian_eig_stack,
     matrix_power,
@@ -27,34 +24,15 @@ from .quantities import (
     SpectralSums,
     StateStack,
     UncertaintyReport,
-    center,
-    commutator_average,
-    correlation,
-    covariance,
-    expectation,
     full_report,
     full_report_stack,
-    j_quantity,
     matrix_elements,
-    spectral_j_diagonal_term,
-    spectral_j_lower_bound,
-    spectral_skew_information,
     spectral_sums,
-    u_quantity,
-    variance,
-    wy_skew_information,
     wyd_skew_information,
 )
 from .relations import (
     InequalityVerdict,
     ProofChainTrace,
-    check_heisenberg,
-    check_luo,
-    check_schrodinger,
-    check_schrodinger_wy,
-    eval_false_cov_variant,
-    eval_lhs_difference,
-    eval_re_ordering,
     proof_chain,
     verdict_from_report,
     verdicts_from_report,
@@ -92,26 +70,10 @@ __all__ = [
     "UncertaintyReport",
     "ValidationError",
     "Witness",
-    "anticommutator",
-    "center",
-    "commutator_average",
-    "check_heisenberg",
-    "check_luo",
-    "check_schrodinger",
-    "check_schrodinger_wy",
-    "commutator",
-    "correlation",
-    "covariance",
-    "eval_false_cov_variant",
-    "eval_lhs_difference",
-    "eval_re_ordering",
-    "expectation",
-    "frobenius_distance",
     "full_report",
     "full_report_stack",
     "hermitian_eig",
     "hermitian_eig_stack",
-    "j_quantity",
     "matrix_elements",
     "matrix_power",
     "proof_chain",
@@ -122,14 +84,8 @@ __all__ = [
     "refine_witness",
     "refine_witnesses",
     "run_search",
-    "spectral_j_diagonal_term",
-    "spectral_j_lower_bound",
-    "spectral_skew_information",
     "spectral_sums",
-    "u_quantity",
-    "variance",
     "verdict_from_report",
     "verdicts_from_report",
-    "wy_skew_information",
     "wyd_skew_information",
 ]

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import counterexamples, ensembles, quantities, relations, search, serialize
-from .errors import ValidationError
+from .errors import MalformedDocument, ValidationError
 from .relations import THEOREM_IDS, RELATION_IDS
 
 _OBJECTIVE_ALIASES = {
@@ -128,6 +128,8 @@ def _cmd_check(args) -> int:
     doc = serialize.load_document(args.input)
     all_hold = True
     if isinstance(doc, dict) and "witnesses" in doc:
+        if not isinstance(doc["witnesses"], list):
+            raise MalformedDocument("witnesses must be an array of problem documents")
         for idx, entry in enumerate(doc["witnesses"]):
             rho, a, b, label = serialize.problem_from_wire(entry)
             verdicts, ok = _check_one(rho, a, b, ids)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import relations
+from . import quantities, relations
 from .errors import BadSpec
 from .quantities import DensityMatrix, Observable
 
@@ -127,13 +127,13 @@ def _triple_by_name(name: str):
 
 
 def compute_reference_value(row: ReferenceRow) -> float:
-    rho, a, b = _triple_by_name(row.triple)
+    report = quantities.full_report(*_triple_by_name(row.triple))
     if row.quantity == "false_cov_variant_gap":
-        return relations.eval_false_cov_variant(rho, a, b).gap
+        return relations.verdict_from_report(report, "false_cov_variant").gap
     if row.quantity == "re_ordering_gap":
-        return relations.eval_re_ordering(rho, a, b).gap
+        return relations.verdict_from_report(report, "false_re_ordering").gap
     if row.quantity == "lhs_difference":
-        return relations.eval_lhs_difference(rho, a, b)
+        return relations.lhs_difference_from_report(report)
     raise ValueError(f"unknown quantity {row.quantity!r}")
 
 

@@ -2,8 +2,8 @@
 
 Everything downstream (states, uncertainty functionals, relation checks)
 is built on the operations in this module: LAPACK's Hermitian eigensolver
-with a fixed ordering and phase convention, spectral matrix powers, and
-commutators.  The eigensolver works on stacks of matrices
+with a fixed ordering and phase convention, and spectral matrix powers.
+The eigensolver works on stacks of matrices
 (``hermitian_eig_stack``); ``hermitian_eig`` is its one-matrix case.  All
 functions are pure; matrices are never mutated in place.
 """
@@ -48,52 +48,28 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
-
-
-def frobenius_distance(x, y) -> float:
-    x, y = as_complex_matrix(x), as_complex_matrix(y)
-    _require_same_shape(x, y)
-    return float(np.linalg.norm(x - y))
-
-
-def commutator(x, y) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    x, y = as_complex_matrix(x), as_complex_matrix(y)
-    _require_same_shape(x, y)
-    return x @ y - y @ x
-
-
-def anticommutator(x, y) -> np.ndarray:
-    """{X, Y} = XY + YX."""
-    x, y = as_complex_matrix(x), as_complex_matrix(y)
-    _require_same_shape(x, y)
-    return x @ y + y @ x
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """max entrywise |M - M^dagger|, over every matrix of a stack."""
     return float(np.abs(m - _adjoint(m)).max())
 
 
-def _check_hermitian(a: np.ndarray, what: str, tol: float) -> np.ndarray:
+def _check_hermitian(a: np.ndarray, what: str) -> np.ndarray:
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NotHermitian(
-            f"{what} is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.0e}"
+            f"{what} is not Hermitian: "
+            f"max |M - M^dagger| = {defect:.3e} > {HERMITIAN_TOL:.0e}"
         )
     return a
 
 
-def require_hermitian(m, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
-    return _check_hermitian(as_complex_matrix(m), what, tol)
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
+    return _check_hermitian(as_complex_matrix(m), what)
 
 
 def require_hermitian_stack(ms, what: str = "matrix") -> np.ndarray:
     """require_hermitian for every matrix of an (N, d, d) stack."""
-    return _check_hermitian(as_complex_stack(ms), what, HERMITIAN_TOL)
+    return _check_hermitian(as_complex_stack(ms), what)
 
 
 @dataclass(frozen=True)
@@ -174,9 +150,9 @@ def hermitian_eig_stack(ms, what: str = "matrix") -> tuple[np.ndarray, np.ndarra
     return _eigh_sorted(require_hermitian_stack(ms, what=what))
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> SpectralDecomposition:
+def hermitian_eig(m, what: str = "matrix") -> SpectralDecomposition:
     """Eigensystem of one Hermitian matrix: the one-matrix case of hermitian_eig_stack."""
-    w, v = _eigh_sorted(require_hermitian(m, what=what, tol=tol)[None])
+    w, v = _eigh_sorted(require_hermitian(m, what=what)[None])
     return SpectralDecomposition(w[0], v[0])
 
 

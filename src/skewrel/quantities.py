@@ -12,7 +12,8 @@ For a density matrix rho and Hermitian H (centered as H0 = H - <H> I):
 
 plus the one-parameter family I_alpha(H) built from rho^alpha and
 rho^(1-alpha), and the eigenbasis (spectral) forms of I and the J lower
-bound used for cross-checks.
+bound used for cross-checks.  full_report evaluates every functional of
+one triple and full_report_stack of N triples, through one kernel.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class StateStack:
                 f"density matrix is not PSD: smallest eigenvalue {lowest:.3e}"
             )
         tr = w.sum(axis=-1)
-        off = np.abs(tr - 1.0) > TRACE_TOL
+        off = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # also catches a NaN spectrum from overflow
         if off.any():
             raise TraceNotOne(
                 f"density matrix has unit-trace violation: Tr = {float(tr[off][0])!r}"
@@ -255,47 +256,12 @@ def _real_part(t: complex, what: str) -> float:
     return t.real
 
 
-def _mean(rho: DensityMatrix, m: np.ndarray) -> float:
-    """Tr[rho M] of an already validated observable matrix."""
-    _check_dims(rho, m)
-    return _real_part(_tr_product(rho.matrix, m), "expectation of a Hermitian observable")
-
-
-def expectation(rho: DensityMatrix, h) -> float:
-    """Tr[rho H], guaranteed real for Hermitian inputs up to roundoff."""
-    return _mean(rho, _as_obs_matrix(h))
-
-
-def center(rho: DensityMatrix, h) -> np.ndarray:
+def _center(rho: DensityMatrix, h) -> np.ndarray:
     """Subtract the mean: H0 = H - Tr[rho H] I."""
     m = _as_obs_matrix(h)
-    return m - _mean(rho, m) * np.eye(rho.dim)
-
-
-def variance(rho: DensityMatrix, h) -> float:
-    """V(H) = Tr[rho H0^2]."""
-    h0 = center(rho, h)
-    val = _tr_product(rho.matrix @ h0, h0).real
-    return _real_floor(val)
-
-
-def covariance(rho: DensityMatrix, a, b) -> complex:
-    """Cov(A, B) = Tr[rho A0 B0]; complex in general, conjugated under swap."""
-    a0 = center(rho, a)
-    b0 = center(rho, b)
-    return _tr_product(rho.matrix @ a0, b0)
-
-
-def _vij(rho: DensityMatrix, h0: np.ndarray) -> tuple[float, float, float]:
-    """(V, I, J) of one centered observable, through the stacked kernel's helper."""
-    v, i, j, _ = _vij_stack(rho.sqrt[None], h0[None], (rho.matrix @ h0)[None])
-    return v.item(), i.item(), j.item()
-
-
-def wy_skew_information(rho: DensityMatrix, h) -> float:
-    """I(H) = (1/2) Tr[(i[sqrt(rho), H0])^2], nonnegative and at most V(H)."""
-    h0 = center(rho, h)
-    return _vij(rho, h0)[1]
+    _check_dims(rho, m)
+    mean = _real_part(_tr_product(rho.matrix, m), "expectation of a Hermitian observable")
+    return m - mean * np.eye(rho.dim)
 
 
 def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
@@ -304,8 +270,8 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
     Only the open interval 0 < alpha < 1 is accepted: at the endpoints
     rho^0 would be rank-dependent, so the request is rejected rather than
     silently computed.  Symmetric under alpha <-> 1 - alpha, equal to
-    wy_skew_information at alpha = 1/2, and unchanged by centering H
-    (identity shifts drop out of commutators).
+    the skew information I (full_report's i_a, i_b) at alpha = 1/2, and
+    unchanged by centering H (identity shifts drop out of commutators).
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
@@ -319,47 +285,9 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
     return _real_floor(val)
 
 
-def j_quantity(rho: DensityMatrix, h) -> float:
-    """J(H) = (1/2) Tr[{sqrt(rho), H0}^2], cross-checked against 2V - I."""
-    h0 = center(rho, h)
-    return _vij(rho, h0)[2]
-
-
-def u_quantity(rho: DensityMatrix, h) -> float:
-    """U(H) = sqrt(I J); tiny negative products from roundoff clamp to 0."""
-    h0 = center(rho, h)
-    _, i_val, j_val = _vij(rho, h0)
-    return float(np.sqrt(max(i_val * j_val, 0.0)))
-
-
-def correlation(rho: DensityMatrix, a, b) -> complex:
-    """Corr(A, B) = Tr[rho A^dagger B] - Tr[sqrt(rho) A^dagger sqrt(rho) B].
-
-    Computed on the uncentered observables, exactly as defined; shifting
-    either argument by a real multiple of the identity leaves the value
-    unchanged (a property the tests pin down rather than the code forcing
-    it by centering first).
-    """
-    ma = _as_obs_matrix(a)
-    mb = _as_obs_matrix(b)
-    _check_dims(rho, ma, mb)
-    ad = ma.conj().T
-    t1 = _tr_product(rho.matrix @ ad, mb)
-    t2 = _tr_product(rho.sqrt @ ad, rho.sqrt @ mb)
-    return t1 - t2
-
-
-def commutator_average(rho: DensityMatrix, a, b) -> complex:
-    """Tr[rho [A, B]], purely imaginary for Hermitian A, B."""
-    ma = _as_obs_matrix(a)
-    mb = _as_obs_matrix(b)
-    _check_dims(rho, ma, mb)
-    return _tr_product(rho.matrix @ ma, mb) - _tr_product(rho.matrix @ mb, ma)
-
-
 def matrix_elements(rho: DensityMatrix, h) -> np.ndarray:
     """h_ij = <phi_i| H0 |phi_j> in the eigenbasis of rho (a Hermitian array)."""
-    h0 = center(rho, h)
+    h0 = _center(rho, h)
     v = rho.spectral.eigenvectors
     return v.conj().T @ h0 @ v
 
@@ -405,25 +333,6 @@ def spectral_sums(rho: DensityMatrix, h) -> SpectralSums:
         j_lower_bound=0.5 * float((plus_sq * abs_sq).sum()),
         j_diagonal_term=2.0 * float((rho.spectral.eigenvalues * diag**2).sum()),
     )
-
-
-def spectral_skew_information(rho: DensityMatrix, h) -> float:
-    """Eigenbasis form of I: sum over i<j of (sqrt(l_i) - sqrt(l_j))^2 |h_ij|^2."""
-    return spectral_sums(rho, h).skew_information
-
-
-def spectral_j_lower_bound(rho: DensityMatrix, h) -> float:
-    """Eigenbasis sum bounding J from below: sum over i<j of (sqrt(l_i) + sqrt(l_j))^2 |h_ij|^2.
-
-    J minus this bound equals the discarded diagonal part,
-    2 sum_i l_i h_ii^2 (see spectral_j_diagonal_term), hence is nonnegative.
-    """
-    return spectral_sums(rho, h).j_lower_bound
-
-
-def spectral_j_diagonal_term(rho: DensityMatrix, h) -> float:
-    """2 sum_i l_i h_ii^2: the exact slack of the spectral J bound."""
-    return spectral_sums(rho, h).j_diagonal_term
 
 
 # The reductions below run on C-ordered operands: numpy picks the order of

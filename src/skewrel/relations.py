@@ -23,8 +23,12 @@ import numpy as np
 from . import quantities
 from .quantities import DensityMatrix, UncertaintyReport
 
-# An inequality "holds" if its gap is no worse than this; the theorems are
-# exact, so only floating point can produce small negatives.
+# An inequality "holds" if its gap is no worse than HOLD_TOL times the
+# larger of 1 and the summed magnitudes of the terms that enter the gap.
+# The theorems are exact, so only floating point can produce small
+# negatives, and the roundoff of a difference grows with its terms: they
+# scale as |A|^2 |B|^2, so a fixed absolute tolerance fails true theorems
+# once A and B are large.
 HOLD_TOL = 1e-9
 
 THEOREM_IDS = ("heisenberg", "schrodinger", "luo", "schrodinger_wy")
@@ -58,30 +62,39 @@ class ProofChainTrace:
     t_uu: float
 
 
-def _verdict(relation_id: str, lhs: float, rhs: float) -> InequalityVerdict:
+def _verdict(relation_id: str, lhs, rhs, *terms) -> InequalityVerdict:
+    """Verdict of lhs >= rhs, where ``terms`` are the terms that enter the gap."""
     gap = lhs - rhs
-    return InequalityVerdict(relation_id, lhs, rhs, gap, gap >= -HOLD_TOL)
-
-
-def _commutator_bound(report: UncertaintyReport) -> float:
-    return 0.25 * abs(report.commutator_avg) ** 2
+    # gap >= -HOLD_TOL * max(1, size), written so that it is a bool for
+    # scalar reports and elementwise for stacked ones
+    size = sum(map(abs, terms))
+    holds = (gap >= -HOLD_TOL) | (gap >= -HOLD_TOL * size)
+    return InequalityVerdict(relation_id, lhs, rhs, gap, holds)
 
 
 def verdict_from_report(report: UncertaintyReport, relation_id: str) -> InequalityVerdict:
-    """Build one relation's verdict from an already-computed report."""
-    rhs = _commutator_bound(report)
+    """One relation's verdict from an already-computed report.
+
+    Works on a one-triple report and on a stacked one, whose verdict
+    fields are then (N,) arrays.
+    """
+    rhs = 0.25 * abs(report.commutator_avg) ** 2
+    vv = report.v_a * report.v_b
+    uu = report.u_a * report.u_b
+    cov_sq = report.cov.real**2
+    corr_sq = report.corr.real**2
     if relation_id == "heisenberg":
-        return _verdict(relation_id, report.v_a * report.v_b, rhs)
+        return _verdict(relation_id, vv, rhs, vv, rhs)
     if relation_id == "schrodinger":
-        return _verdict(relation_id, report.v_a * report.v_b - report.cov.real**2, rhs)
+        return _verdict(relation_id, vv - cov_sq, rhs, vv, cov_sq, rhs)
     if relation_id == "luo":
-        return _verdict(relation_id, report.u_a * report.u_b, rhs)
+        return _verdict(relation_id, uu, rhs, uu, rhs)
     if relation_id == "schrodinger_wy":
-        return _verdict(relation_id, report.u_a * report.u_b - report.corr.real**2, rhs)
+        return _verdict(relation_id, uu - corr_sq, rhs, uu, corr_sq, rhs)
     if relation_id == "false_cov_variant":
-        return _verdict(relation_id, report.u_a * report.u_b - report.cov.real**2, rhs)
+        return _verdict(relation_id, uu - cov_sq, rhs, uu, cov_sq, rhs)
     if relation_id == "false_re_ordering":
-        return _verdict(relation_id, report.cov.real**2, report.corr.real**2)
+        return _verdict(relation_id, cov_sq, corr_sq, cov_sq, corr_sq)
     raise ValueError(f"unknown relation id {relation_id!r}")
 
 
@@ -89,41 +102,11 @@ def verdicts_from_report(report: UncertaintyReport, ids=THEOREM_IDS) -> list[Ine
     return [verdict_from_report(report, rid) for rid in ids]
 
 
-def check_heisenberg(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    return verdict_from_report(quantities.full_report(rho, a, b), "heisenberg")
-
-
-def check_schrodinger(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    return verdict_from_report(quantities.full_report(rho, a, b), "schrodinger")
-
-
-def check_luo(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    return verdict_from_report(quantities.full_report(rho, a, b), "luo")
-
-
-def check_schrodinger_wy(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    return verdict_from_report(quantities.full_report(rho, a, b), "schrodinger_wy")
-
-
-def eval_false_cov_variant(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    """The covariance variant of schrodinger_wy; its gap may be negative."""
-    return verdict_from_report(quantities.full_report(rho, a, b), "false_cov_variant")
-
-
-def eval_re_ordering(rho: DensityMatrix, a, b) -> InequalityVerdict:
-    """(Re Cov)^2 vs (Re Corr)^2; neither dominates the other in general."""
-    return verdict_from_report(quantities.full_report(rho, a, b), "false_re_ordering")
-
-
 def lhs_difference_from_report(report: UncertaintyReport) -> float:
     """schrodinger lhs minus schrodinger_wy lhs; takes both signs."""
     lhs_s = report.v_a * report.v_b - report.cov.real**2
     lhs_wy = report.u_a * report.u_b - report.corr.real**2
     return lhs_s - lhs_wy
-
-
-def eval_lhs_difference(rho: DensityMatrix, a, b) -> float:
-    return lhs_difference_from_report(quantities.full_report(rho, a, b))
 
 
 def proof_chain(

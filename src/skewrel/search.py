@@ -104,11 +104,6 @@ def objective_from_report(objective: str, report: quantities.UncertaintyReport):
     raise BadSpec(f"unknown objective {objective!r}")
 
 
-def objective_value(objective: str, rho: DensityMatrix, a, b) -> float:
-    """Score one triple under a search objective (lower is better)."""
-    return objective_from_report(objective, quantities.full_report(rho, a, b))
-
-
 def _candidates(
     task: SearchTask, indices: np.ndarray
 ) -> tuple[StateStack, np.ndarray, np.ndarray]:
@@ -200,7 +195,8 @@ def run_search(task: SearchTask, workers: int = 1) -> list[Witness]:
 
 def reevaluate(objective: str, w: Witness) -> float:
     """Score a witness from its stored matrices only (fresh validation path)."""
-    return objective_value(objective, DensityMatrix(w.rho), Observable(w.a), Observable(w.b))
+    report = quantities.full_report(DensityMatrix(w.rho), Observable(w.a), Observable(w.b))
+    return objective_from_report(objective, report)
 
 
 def refine_witness(

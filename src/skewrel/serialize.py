@@ -45,7 +45,12 @@ def wire_to_matrix(data: Any, what: str) -> np.ndarray:
                 )
             ):
                 raise MalformedDocument(f"{what}: entry ({i},{j}) is not an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # a JSON integer beyond the range of a double
+                raise MalformedDocument(
+                    f"{what}: entry ({i},{j}) is too large for a double"
+                ) from None
     if not np.isfinite(out).all():
         raise MalformedDocument(f"{what}: entries must be finite")
     return out

@@ -87,14 +87,11 @@ def sweep():
             ):
                 worst["j_identity"] = max(worst["j_identity"], abs(j - (2 * v - i)))
                 worst["u_squared"] = max(worst["u_squared"], abs(u * u - i * j))
-                worst["i_spectral"] = max(
-                    worst["i_spectral"],
-                    abs(i - quantities.spectral_skew_information(rho, obs)),
-                )
-                slack = j - quantities.spectral_j_lower_bound(rho, obs)
+                sums = quantities.spectral_sums(rho, obs)
+                worst["i_spectral"] = max(worst["i_spectral"], abs(i - sums.skew_information))
+                slack = j - sums.j_lower_bound
                 worst["j_slack_identity"] = max(
-                    worst["j_slack_identity"],
-                    abs(slack - quantities.spectral_j_diagonal_term(rho, obs)),
+                    worst["j_slack_identity"], abs(slack - sums.j_diagonal_term)
                 )
                 worst["j_slack_min"] = min(worst["j_slack_min"], slack)
                 worst["order_i"] = min(worst["order_i"], i)
@@ -132,8 +129,8 @@ def test_criterion_1_cov_variant_counterexample_value(capsys):
     rho_m, a_m, b_m = rho.matrix.copy(), a.matrix.copy(), b.matrix.copy()
 
     def evaluate():
-        state = DensityMatrix(rho_m)
-        return relations.eval_false_cov_variant(state, Observable(a_m), Observable(b_m)).gap
+        report = quantities.full_report(DensityMatrix(rho_m), Observable(a_m), Observable(b_m))
+        return relations.verdict_from_report(report, "false_cov_variant").gap
 
     best = np.inf
     for _ in range(30):
@@ -152,7 +149,7 @@ def test_criterion_1_cov_variant_counterexample_value(capsys):
 
 def test_criterion_2_re_ordering_counterexample_value(capsys):
     rho, a, b = re_ordering_triple()
-    gap = relations.eval_re_ordering(rho, a, b).gap
+    gap = relations.verdict_from_report(quantities.full_report(rho, a, b), "false_re_ordering").gap
     rel = abs(gap - (-0.1539)) / 0.1539
     ok = rel <= 1e-3
     _announce(
@@ -164,8 +161,8 @@ def test_criterion_2_re_ordering_counterexample_value(capsys):
 
 
 def test_criterion_3_lhs_difference_both_values(capsys):
-    d1 = relations.eval_lhs_difference(*cov_variant_triple())
-    d2 = relations.eval_lhs_difference(*re_ordering_triple())
+    d1 = relations.lhs_difference_from_report(quantities.full_report(*cov_variant_triple()))
+    d2 = relations.lhs_difference_from_report(quantities.full_report(*re_ordering_triple()))
     rel1 = abs(d1 - (-0.232051)) / 0.232051
     rel2 = abs(d2 - 13.7862) / 13.7862
     ok = rel1 <= 1e-5 and rel2 <= 1e-3

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skewrel import cli, serialize
 from skewrel.cli import main
+from skewrel.errors import ValidationError
 from skewrel.counterexamples import cov_variant_triple, re_ordering_triple
 
 
@@ -89,6 +94,21 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert "rho: entry (0,0) is not an [re, im] pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    def test_integer_too_large_for_a_double_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"rho": [[[1, 0]]], "A": [[[1%s, 0]]], "B": [[[1, 0]]]}' % ("0" * 400)
+        )
+        assert main([command, str(path)]) == 2
+        assert "A: entry (0,0) is too large for a double" in capsys.readouterr().err
+
+    def test_overflowing_state_exits_2(self, tmp_path, capsys):
+        # the entries are finite, but the state's trace and spectrum are not
+        path = write_problem(tmp_path / "huge.json", np.full((2, 2), 1e308), np.eye(2), np.eye(2))
+        assert main(["compute", path]) == 2
+        assert "unit-trace violation" in capsys.readouterr().err
+
     def test_wyd_out_of_range_exits_2(self, cov_variant_file, capsys):
         assert main(["compute", cov_variant_file, "--wyd", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
@@ -123,6 +143,13 @@ class TestCheck:
 
     def test_unknown_relation_exits_2(self, cov_variant_file, capsys):
         assert main(["check", cov_variant_file, "--relations", "bogus"]) == 2
+
+    @pytest.mark.parametrize("witnesses", ["5", "null", '{"rho": 1}', '"w"'])
+    def test_witnesses_not_an_array_exits_2(self, tmp_path, capsys, witnesses):
+        path = tmp_path / "w.json"
+        path.write_text('{"witnesses": %s}' % witnesses)
+        assert main(["check", str(path)]) == 2
+        assert "witnesses must be an array" in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -267,3 +294,82 @@ class TestParserReuse:
         assert main(["compute", "--no-such-flag", cov_variant_file]) == 2
         capsys.readouterr()
         assert [run(argv) for argv in calls] == first
+
+
+# Arbitrary JSON, plus documents shaped like problems and witness files
+# whose matrices hold numbers of every kind: small, huge, non-finite, and
+# integers too large for a double.
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([10**400, -(10**400), 1e308, -1e308, 5e-324]),
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def wire_matrices(draw, n):
+    entry = st.one_of(st.tuples(NUMBERS, NUMBERS).map(list), JSON)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def hermitian_wire(draw, n):
+    vals = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3) | st.floats(-1e200, 1e200)
+    m = np.array(draw(st.lists(vals, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return serialize.matrix_to_wire(np.triu(m) + np.triu(m, 1).T)
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(1, 3))
+    states = st.sampled_from(
+        [serialize.matrix_to_wire(m) for m in (np.eye(n) / n, np.diag(np.eye(n)[0]))]
+    )
+
+    def pick(valid):
+        # mostly well-formed matrices, so that documents reach the evaluation
+        kind = draw(st.integers(0, 5))
+        return draw(valid if kind < 3 else wire_matrices(n) if kind < 5 else JSON)
+
+    doc = {"rho": pick(states), "A": pick(hermitian_wire(n)), "B": pick(hermitian_wire(n))}
+    if draw(st.booleans()):
+        doc["label"] = draw(st.text(max_size=4) | JSON)
+    for key in draw(st.sets(st.sampled_from(["rho", "A", "B"]), max_size=1)):
+        del doc[key]
+    return doc
+
+
+DOCUMENTS = st.one_of(
+    JSON,
+    problems(),
+    st.fixed_dictionaries({"witnesses": st.lists(problems() | JSON, max_size=3) | JSON}),
+)
+
+
+class TestWireFuzz:
+    """Any JSON document gives a result or a documented exit code, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problems() | JSON)
+    def test_problem_from_wire(self, doc):
+        try:
+            rho, a, b, _ = serialize.problem_from_wire(doc)
+        except ValidationError:
+            return
+        assert rho.dim == a.dim == b.dim
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(DOCUMENTS)
+    def test_cli_check_and_compute(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz-doc.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) in (0, 2, 3)
+            assert main(["compute", str(path)]) in (0, 2)

@@ -132,40 +132,6 @@ def test_matrix_power_rejects_bad_exponent():
         linalg.matrix_power(s, 0.0)
 
 
-def test_commutator_examples():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(linalg.commutator(a, a), np.zeros((2, 2)))
-    # direct multiplication: AB = BA = [[1,2],[2,1]]
-    np.testing.assert_array_equal(linalg.commutator(a, b), np.zeros((2, 2)))
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    np.testing.assert_allclose(linalg.commutator(sx, sy), 2j * sz, atol=1e-15)
-    np.testing.assert_allclose(linalg.anticommutator(sx, sy), np.zeros((2, 2)), atol=1e-15)
-
-
-def test_anticommutator_examples():
-    y = np.array([[1.0, 2.0], [2.0, -1.0]])
-    np.testing.assert_array_equal(linalg.anticommutator(y, np.zeros((2, 2))), np.zeros((2, 2)))
-    np.testing.assert_array_equal(linalg.anticommutator(np.eye(2), y), 2 * y)
-
-
-def test_commutator_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.commutator(np.eye(2), np.eye(3))
-
-
-def test_frobenius_distance():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert linalg.frobenius_distance(x, x) == 0.0
-    assert linalg.frobenius_distance(x, y) == pytest.approx(np.linalg.norm(x - y))
-    with pytest.raises(DimensionMismatch):
-        linalg.frobenius_distance(x, np.eye(2))
-
-
 def _unitary(n, rng):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q
@@ -251,32 +217,14 @@ def test_eig_lapack_failure_is_no_convergence(monkeypatch):
         linalg.hermitian_eig(np.eye(2))
 
 
-def _hermitian_of(draw, n):
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
     vals = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
     re = draw(st.lists(st.lists(vals, min_size=n, max_size=n), min_size=n, max_size=n))
     im = draw(st.lists(st.lists(vals, min_size=n, max_size=n), min_size=n, max_size=n))
     m = np.array(re) + 1j * np.array(im)
     return (m + m.conj().T) / 2.0
-
-
-@st.composite
-def hermitian_matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    return _hermitian_of(draw, n)
-
-
-@st.composite
-def hermitian_pairs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    return _hermitian_of(draw, n), _hermitian_of(draw, n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(hermitian_pairs())
-def test_commutator_antisymmetry_anticommutator_symmetry(pair):
-    x, y = pair
-    np.testing.assert_array_equal(linalg.commutator(x, y), -linalg.commutator(y, x))
-    np.testing.assert_array_equal(linalg.anticommutator(x, y), linalg.anticommutator(y, x))
 
 
 @settings(max_examples=40, deadline=None)

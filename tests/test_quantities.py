@@ -39,6 +39,17 @@ def pure_state(vec) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+def report(rho, h):
+    """The full report of (rho, H, H): its A fields are the functionals of H."""
+    return q.full_report(rho, h, h)
+
+
+def centered(rho, h) -> np.ndarray:
+    """H0 = H - <H> I, back from its eigenbasis matrix elements."""
+    v = rho.spectral.eigenvectors
+    return v @ q.matrix_elements(rho, h) @ v.conj().T
+
+
 def random_triples(count, dims, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     for k in range(count):
@@ -69,7 +80,7 @@ class TestValidation:
     def test_dim_mismatch(self, cov_triple):
         rho, _, _ = cov_triple
         with pytest.raises(DimensionMismatch):
-            q.variance(rho, np.eye(3))
+            q.full_report(rho, np.eye(3), np.eye(3))
 
     def test_from_spectral_matches_direct_construction(self):
         rng = np.random.default_rng(21)
@@ -142,57 +153,58 @@ class TestStateStackValidation:
 class TestCenterAndMoments:
     def test_center_example(self, cov_triple):
         rho, a, _ = cov_triple
-        c = q.center(rho, a)
+        c = centered(rho, a)
         # Tr[rho A] = 2*(1/4) + 2*(3/4) = 2
-        assert q.expectation(rho, a) == pytest.approx(2.0, abs=1e-12)
+        assert report(rho, a).mean_a == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(c, SX, atol=1e-12)
-        assert abs(q.expectation(rho, c)) <= 1e-10
+        assert abs(report(rho, c).mean_a) <= 1e-10
 
     def test_center_identity_observable(self, cov_triple):
         rho, _, _ = cov_triple
-        c = q.center(rho, np.eye(2))
-        assert q.expectation(rho, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+        c = centered(rho, np.eye(2))
+        assert report(rho, np.eye(2)).mean_a == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(c, np.zeros((2, 2)), atol=1e-12)
 
     def test_center_traceless(self, cov_triple):
         rho, _, b = cov_triple
-        c = q.center(rho, b)
-        assert q.expectation(rho, b) == pytest.approx(0.0, abs=1e-12)
+        c = centered(rho, b)
+        assert report(rho, b).mean_a == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(c, b.matrix, atol=1e-12)
 
     def test_variance_example(self, cov_triple):
         rho, a, _ = cov_triple
         # A0^2 = I so V = Tr[rho] = 1
-        assert q.variance(rho, a) == pytest.approx(1.0, abs=1e-12)
+        assert report(rho, a).v_a == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_pure_state(self):
         rho = pure_state([1.0, 0.0])
-        assert q.variance(rho, SX) == pytest.approx(1.0, abs=1e-12)
+        assert report(rho, SX).v_a == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_constant_observable(self, cov_triple):
         rho, _, _ = cov_triple
-        assert q.variance(rho, 3.0 * np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, 3.0 * np.eye(2)).v_a == pytest.approx(0.0, abs=1e-12)
 
     def test_covariance_example(self, cov_triple):
         rho, a, b = cov_triple
         # A0 B0 = I so Cov = Tr[rho] = 1
-        assert q.covariance(rho, a, b) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert q.full_report(rho, a, b).cov == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_covariance_self_is_variance(self, re_triple):
         rho, a, _ = re_triple
-        assert q.covariance(rho, a, a).real == pytest.approx(q.variance(rho, a), abs=1e-10)
+        rep = report(rho, a)
+        assert rep.cov.real == pytest.approx(rep.v_a, abs=1e-10)
 
     def test_covariance_identity_vanishes(self, re_triple):
         rho, a, _ = re_triple
-        assert abs(q.covariance(rho, a, np.eye(2))) <= 1e-12
+        assert abs(q.full_report(rho, a, np.eye(2)).cov) <= 1e-12
 
     def test_covariance_swap_conjugates(self):
         rng = np.random.default_rng(17)
         rho = DensityMatrix(oracles.random_state(3, rng))
         a = Observable(oracles.random_hermitian(3, rng))
         b = Observable(oracles.random_hermitian(3, rng))
-        assert q.covariance(rho, b, a) == pytest.approx(
-            np.conj(q.covariance(rho, a, b)), abs=1e-10
+        assert q.full_report(rho, b, a).cov == pytest.approx(
+            np.conj(q.full_report(rho, a, b).cov), abs=1e-10
         )
 
 
@@ -200,19 +212,20 @@ class TestSkewInformation:
     def test_cov_variant_value(self, cov_triple):
         rho, a, _ = cov_triple
         # sqrt(rho) = diag(1/2, sqrt(3)/2); Tr[sqrt A0 sqrt A0] = sqrt(3)/2
-        assert q.wy_skew_information(rho, a) == pytest.approx(COV_VARIANT_SKEW, abs=1e-12)
+        assert report(rho, a).i_a == pytest.approx(COV_VARIANT_SKEW, abs=1e-12)
 
     def test_maximally_mixed_vanishes(self):
         rho = DensityMatrix(np.eye(4) / 4.0)
         h = oracles.random_hermitian(4, np.random.default_rng(1))
-        assert q.wy_skew_information(rho, h) == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, h).i_a == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_state_equals_variance(self):
         rng = np.random.default_rng(23)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         rho = pure_state(v)
         h = oracles.random_hermitian(3, rng)
-        assert q.wy_skew_information(rho, h) == pytest.approx(q.variance(rho, h), abs=1e-10)
+        rep = report(rho, h)
+        assert rep.i_a == pytest.approx(rep.v_a, abs=1e-10)
 
     def test_centered_and_uncentered_trace_forms_agree(self):
         for rho, a, _ in random_triples(20, (2, 3, 4), seed=31):
@@ -221,25 +234,25 @@ class TestSkewInformation:
             uncentered = (
                 np.trace(rho.matrix @ m @ m) - np.trace(sq @ m @ sq @ m)
             ).real
-            assert q.wy_skew_information(rho, a) == pytest.approx(uncentered, abs=1e-10)
+            assert report(rho, a).i_a == pytest.approx(uncentered, abs=1e-10)
 
     def test_matches_independent_oracle(self):
         for rho, a, _ in random_triples(20, (2, 3, 5), seed=37):
-            assert q.wy_skew_information(rho, a) == pytest.approx(
+            assert report(rho, a).i_a == pytest.approx(
                 oracles.skew_information(rho.matrix, a.matrix), abs=1e-9
             )
 
     def test_bounded_by_variance(self):
         for rho, a, _ in random_triples(30, (2, 4, 6), seed=41):
-            i_val = q.wy_skew_information(rho, a)
-            assert -1e-10 <= i_val <= q.variance(rho, a) + 1e-10
+            rep = report(rho, a)
+            assert -1e-10 <= rep.i_a <= rep.v_a + 1e-10
 
 
 class TestWydSkewInformation:
     def test_half_order_is_wy(self):
         for rho, a, _ in random_triples(10, (2, 3), seed=43):
             assert q.wyd_skew_information(rho, a, 0.5) == pytest.approx(
-                q.wy_skew_information(rho, a), abs=1e-10
+                report(rho, a).i_a, abs=1e-10
             )
 
     def test_commuting_pair_vanishes(self):
@@ -282,57 +295,58 @@ class TestJAndU:
     def test_j_cov_variant_value(self, cov_triple):
         rho, a, _ = cov_triple
         # 2V - I = 2 - (1 - sqrt(3)/2)
-        assert q.j_quantity(rho, a) == pytest.approx(1.0 + math.sqrt(3.0) / 2.0, abs=1e-12)
+        assert report(rho, a).j_a == pytest.approx(1.0 + math.sqrt(3.0) / 2.0, abs=1e-12)
 
     def test_j_pure_state_equals_variance(self):
         rho = pure_state([1.0, 1.0j])
         h = oracles.random_hermitian(2, np.random.default_rng(3))
-        assert q.j_quantity(rho, h) == pytest.approx(q.variance(rho, h), abs=1e-10)
+        rep = report(rho, h)
+        assert rep.j_a == pytest.approx(rep.v_a, abs=1e-10)
 
     def test_j_constant_observable(self, cov_triple):
         rho, _, _ = cov_triple
-        assert q.j_quantity(rho, 2.0 * np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, 2.0 * np.eye(2)).j_a == pytest.approx(0.0, abs=1e-12)
 
     def test_j_dominates_i(self):
         for rho, a, _ in random_triples(30, (2, 3, 5), seed=61):
-            assert q.j_quantity(rho, a) >= q.wy_skew_information(rho, a) - 1e-10
+            rep = report(rho, a)
+            assert rep.j_a >= rep.i_a - 1e-10
 
     def test_u_cov_variant_value(self, cov_triple):
         rho, a, _ = cov_triple
         # sqrt((1 - sqrt(3)/2)(1 + sqrt(3)/2)) = sqrt(1/4)
-        assert q.u_quantity(rho, a) == pytest.approx(0.5, abs=1e-12)
+        assert report(rho, a).u_a == pytest.approx(0.5, abs=1e-12)
 
     def test_u_pure_state_equals_variance(self):
         rho = pure_state([2.0, -1.0])
         h = oracles.random_hermitian(2, np.random.default_rng(5))
-        assert q.u_quantity(rho, h) == pytest.approx(q.variance(rho, h), abs=1e-9)
+        rep = report(rho, h)
+        assert rep.u_a == pytest.approx(rep.v_a, abs=1e-9)
 
     def test_u_maximally_mixed_vanishes(self):
         rho = DensityMatrix(np.eye(3) / 3.0)
         h = oracles.random_hermitian(3, np.random.default_rng(7))
-        assert q.u_quantity(rho, h) == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, h).u_a == pytest.approx(0.0, abs=1e-12)
 
     def test_u_both_forms_agree(self):
         for rho, a, _ in random_triples(30, (2, 4, 6), seed=67):
-            v = q.variance(rho, a)
-            i = q.wy_skew_information(rho, a)
+            rep = report(rho, a)
+            v, i = rep.v_a, rep.i_a
             by_def = math.sqrt(max(v * v - (v - i) ** 2, 0.0))
-            assert q.u_quantity(rho, a) == pytest.approx(by_def, abs=1e-9)
+            assert rep.u_a == pytest.approx(by_def, abs=1e-9)
 
     def test_ordering_chain(self):
         for rho, a, _ in random_triples(60, (2, 3, 4, 6, 8), seed=71):
-            v = q.variance(rho, a)
-            i = q.wy_skew_information(rho, a)
-            u = q.u_quantity(rho, a)
-            assert -1e-9 <= i <= u + 1e-9 <= v + 2e-9
+            rep = report(rho, a)
+            assert -1e-9 <= rep.i_a <= rep.u_a + 1e-9 <= rep.v_a + 2e-9
 
 
 class TestCorrelation:
     def test_self_correlation_is_skew_information(self, re_triple):
         rho, a, _ = re_triple
-        c = q.correlation(rho, a, a)
-        assert c.real == pytest.approx(q.wy_skew_information(rho, a), abs=1e-10)
-        assert abs(c.imag) <= 1e-12
+        rep = report(rho, a)
+        assert rep.corr.real == pytest.approx(rep.i_a, abs=1e-10)
+        assert abs(rep.corr.imag) <= 1e-12
 
     def test_pure_state_reduces_to_covariance(self):
         rng = np.random.default_rng(73)
@@ -340,33 +354,31 @@ class TestCorrelation:
         rho = pure_state(v)
         a = oracles.random_hermitian(4, rng)
         b = oracles.random_hermitian(4, rng)
-        assert q.correlation(rho, a, b) == pytest.approx(q.covariance(rho, a, b), abs=1e-9)
+        rep = q.full_report(rho, a, b)
+        assert rep.corr == pytest.approx(rep.cov, abs=1e-9)
 
     def test_re_ordering_triple_difference(self, re_triple):
-        rho, a, b = re_triple
-        cov = q.covariance(rho, a, b)
-        corr = q.correlation(rho, a, b)
+        rep = q.full_report(*re_triple)
         # |Re Corr|^2 exceeds |Re Cov|^2 by 0.9^2 - 0.81^2 = 0.1539 here
-        assert corr.real**2 - cov.real**2 == pytest.approx(0.1539, abs=1e-10)
+        assert rep.corr.real**2 - rep.cov.real**2 == pytest.approx(0.1539, abs=1e-10)
 
     def test_shift_invariance(self):
         for rho, a, b in random_triples(10, (2, 3, 4), seed=79):
-            base = q.correlation(rho, a, b)
+            base = q.full_report(rho, a, b).corr
             n = rho.dim
-            shifted = q.correlation(
+            shifted = q.full_report(
                 rho, a.matrix + 1.7 * np.eye(n), b.matrix - 0.9 * np.eye(n)
-            )
+            ).corr
             assert shifted == pytest.approx(base, abs=1e-10)
 
     def test_imaginary_part_encodes_commutator(self):
         for rho, a, b in random_triples(20, (2, 3, 4, 5), seed=83):
-            corr = q.correlation(rho, a, b)
-            comm = q.commutator_average(rho, a, b)
-            assert corr.imag**2 == pytest.approx(0.25 * abs(comm) ** 2, abs=1e-9)
+            rep = q.full_report(rho, a, b)
+            assert rep.corr.imag**2 == pytest.approx(0.25 * abs(rep.commutator_avg) ** 2, abs=1e-9)
 
     def test_matches_independent_oracle(self):
         for rho, a, b in random_triples(15, (2, 4), seed=89):
-            assert q.correlation(rho, a, b) == pytest.approx(
+            assert q.full_report(rho, a, b).corr == pytest.approx(
                 oracles.correlation(rho.matrix, a.matrix, b.matrix), abs=1e-9
             )
 
@@ -375,26 +387,26 @@ class TestSpectralForms:
     def test_cov_variant_spectral_value(self, cov_triple):
         rho, a, _ = cov_triple
         # lambda = (3/4, 1/4), |h_12| = 1: (sqrt(3)/2 - 1/2)^2 = 1 - sqrt(3)/2
-        assert q.spectral_skew_information(rho, a) == pytest.approx(
+        assert q.spectral_sums(rho, a).skew_information == pytest.approx(
             COV_VARIANT_SKEW, abs=1e-12
         )
 
     def test_diagonal_observable_gives_zero(self):
         rho = DensityMatrix(np.diag([0.7, 0.2, 0.1]))
         h = np.diag([3.0, 1.0, -2.0])
-        assert q.spectral_skew_information(rho, h) == pytest.approx(0.0, abs=1e-12)
+        assert q.spectral_sums(rho, h).skew_information == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_state_offdiagonal_row(self):
         rho = pure_state([1.0, 0.0, 0.0])
         h = oracles.random_hermitian(3, np.random.default_rng(11))
         helems = q.matrix_elements(rho, h)
         expected = sum(abs(helems[0, j]) ** 2 for j in (1, 2))
-        assert q.spectral_skew_information(rho, h) == pytest.approx(expected, abs=1e-10)
+        assert q.spectral_sums(rho, h).skew_information == pytest.approx(expected, abs=1e-10)
 
     def test_agrees_with_trace_form(self):
         for rho, a, _ in random_triples(40, (2, 3, 4, 6), seed=97):
-            assert q.spectral_skew_information(rho, a) == pytest.approx(
-                q.wy_skew_information(rho, a), abs=1e-9
+            assert q.spectral_sums(rho, a).skew_information == pytest.approx(
+                report(rho, a).i_a, abs=1e-9
             )
 
     def test_agrees_on_degenerate_spectrum(self):
@@ -404,8 +416,8 @@ class TestSpectralForms:
         proj[0, 0] = 1.0
         rho = DensityMatrix(0.5 * np.eye(n) / n + 0.5 * proj)
         h = oracles.random_hermitian(n, np.random.default_rng(13))
-        assert q.spectral_skew_information(rho, h) == pytest.approx(
-            q.wy_skew_information(rho, h), abs=1e-9
+        assert q.spectral_sums(rho, h).skew_information == pytest.approx(
+            report(rho, h).i_a, abs=1e-9
         )
 
     def test_matrix_elements_hermitian(self):
@@ -415,30 +427,31 @@ class TestSpectralForms:
 
     def test_j_bound_cov_variant(self, cov_triple):
         rho, a, _ = cov_triple
-        bound = q.spectral_j_lower_bound(rho, a)
+        bound = q.spectral_sums(rho, a).j_lower_bound
         assert bound == pytest.approx(1.0 + math.sqrt(3.0) / 2.0, abs=1e-12)
         # h_11 = h_22 = 0 here, so the bound is exactly J
-        assert q.j_quantity(rho, a) - bound == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, a).j_a - bound == pytest.approx(0.0, abs=1e-12)
 
     def test_j_bound_strict_slack_for_diagonal(self):
         rho = DensityMatrix(np.diag([0.6, 0.4]))
         h = np.diag([2.0, -1.0])  # diagonal in the eigenbasis, h_ii != 0
-        assert q.spectral_j_lower_bound(rho, h) == pytest.approx(0.0, abs=1e-12)
-        assert q.j_quantity(rho, h) > 0.0
+        assert q.spectral_sums(rho, h).j_lower_bound == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, h).j_a > 0.0
 
     def test_j_bound_constant_observable(self, cov_triple):
         rho, _, _ = cov_triple
         h = 4.0 * np.eye(2)
-        assert q.spectral_j_lower_bound(rho, h) == pytest.approx(0.0, abs=1e-12)
-        assert q.j_quantity(rho, h) == pytest.approx(0.0, abs=1e-12)
+        assert q.spectral_sums(rho, h).j_lower_bound == pytest.approx(0.0, abs=1e-12)
+        assert report(rho, h).j_a == pytest.approx(0.0, abs=1e-12)
 
     def test_j_slack_identity_against_oracle(self):
         for rho, a, _ in random_triples(40, (2, 3, 4, 6), seed=103):
             i_sum, j_sum, slack = oracles.spectral_sums(rho.matrix, a.matrix)
-            assert q.spectral_j_lower_bound(rho, a) == pytest.approx(j_sum, abs=1e-9)
-            assert q.spectral_skew_information(rho, a) == pytest.approx(i_sum, abs=1e-9)
-            gap = q.j_quantity(rho, a) - q.spectral_j_lower_bound(rho, a)
-            assert gap == pytest.approx(q.spectral_j_diagonal_term(rho, a), abs=1e-9)
+            sums = q.spectral_sums(rho, a)
+            assert sums.j_lower_bound == pytest.approx(j_sum, abs=1e-9)
+            assert sums.skew_information == pytest.approx(i_sum, abs=1e-9)
+            gap = report(rho, a).j_a - sums.j_lower_bound
+            assert gap == pytest.approx(sums.j_diagonal_term, abs=1e-9)
             assert gap == pytest.approx(slack, abs=1e-9)
             assert gap >= -1e-9
 
@@ -474,12 +487,25 @@ class TestFullReport:
         assert rep.u_a == pytest.approx(rep.v_a, abs=1e-9)
         assert rep.corr == pytest.approx(rep.cov, abs=1e-9)
 
-    def test_report_fields_match_scalar_functions(self, re_triple):
-        rho, a, b = re_triple
-        rep = q.full_report(rho, a, b)
-        assert rep.v_a == pytest.approx(q.variance(rho, a), abs=1e-12)
-        assert rep.i_b == pytest.approx(q.wy_skew_information(rho, b), abs=1e-12)
-        assert rep.j_a == pytest.approx(q.j_quantity(rho, a), abs=1e-12)
-        assert rep.u_b == pytest.approx(q.u_quantity(rho, b), abs=1e-12)
-        assert rep.cov == pytest.approx(q.covariance(rho, a, b), abs=1e-12)
-        assert rep.corr == pytest.approx(q.correlation(rho, a, b), abs=1e-12)
+    def test_report_fields_match_oracle(self, re_triple):
+        triples = [re_triple, *random_triples(20, (2, 3, 4, 6), seed=109)]
+        for rho, a, b in triples:
+            rep = q.full_report(rho, a, b)
+            r, ma, mb = rho.matrix, a.matrix, b.matrix
+            expected = {
+                "mean_a": oracles.mean(r, ma),
+                "mean_b": oracles.mean(r, mb),
+                "v_a": oracles.variance(r, ma),
+                "v_b": oracles.variance(r, mb),
+                "i_a": oracles.skew_information(r, ma),
+                "i_b": oracles.skew_information(r, mb),
+                "j_a": oracles.j_value(r, ma),
+                "j_b": oracles.j_value(r, mb),
+                "u_a": oracles.u_value(r, ma),
+                "u_b": oracles.u_value(r, mb),
+                "cov": oracles.covariance(r, ma, mb),
+                "corr": oracles.correlation(r, ma, mb),
+                "commutator_avg": oracles.commutator_average(r, ma, mb),
+            }
+            for field, value in expected.items():
+                assert getattr(rep, field) == pytest.approx(value, abs=1e-9), field

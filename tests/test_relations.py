@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewrel import quantities, relations
+from skewrel import ensembles, quantities, relations
 from skewrel.counterexamples import (
     COV_VARIANT_LHS_DIFFERENCE,
     RE_ORDERING_GAP,
@@ -9,6 +9,7 @@ from skewrel.counterexamples import (
     cov_variant_triple,
     re_ordering_triple,
 )
+from skewrel.ensembles import EnsembleSpec
 from skewrel.quantities import DensityMatrix, Observable
 
 import oracles
@@ -21,6 +22,14 @@ def pure_state(vec) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
+
+
+def verdict(relation_id, rho, a, b):
+    return relations.verdict_from_report(quantities.full_report(rho, a, b), relation_id)
+
+
+def lhs_difference(rho, a, b):
+    return relations.lhs_difference_from_report(quantities.full_report(rho, a, b))
 
 
 def random_triples(count, dims, seed, scale=1.0):
@@ -36,46 +45,46 @@ def random_triples(count, dims, seed, scale=1.0):
 
 class TestTheoremChecks:
     def test_heisenberg_cov_variant(self):
-        v = relations.check_heisenberg(*cov_variant_triple())
+        v = verdict("heisenberg", *cov_variant_triple())
         assert v.lhs == pytest.approx(1.0, abs=1e-12)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
         assert v.holds
 
     def test_heisenberg_traceless_paulis(self):
         rho = DensityMatrix(np.eye(2) / 2.0)
-        v = relations.check_heisenberg(rho, SX, SY)
+        v = verdict("heisenberg", rho, SX, SY)
         assert v.lhs == pytest.approx(1.0, abs=1e-12)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_heisenberg_tight_on_spin_up(self):
         # V = 1 each and Tr[rho 2i sigma_z] = 2i, so both sides are 1
         rho = pure_state([1.0, 0.0])
-        v = relations.check_heisenberg(rho, SX, SY)
+        v = verdict("heisenberg", rho, SX, SY)
         assert v.lhs == pytest.approx(1.0, abs=1e-12)
         assert v.rhs == pytest.approx(1.0, abs=1e-12)
         assert v.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_schrodinger_cov_variant_is_tight(self):
-        v = relations.check_schrodinger(*cov_variant_triple())
+        v = verdict("schrodinger", *cov_variant_triple())
         assert v.lhs == pytest.approx(0.0, abs=1e-12)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_schrodinger_equal_observables(self):
         rho = pure_state([1.0, 2.0])
         h = Observable(oracles.random_hermitian(2, np.random.default_rng(2)))
-        v = relations.check_schrodinger(rho, h, h)
+        v = verdict("schrodinger", rho, h, h)
         assert v.lhs == pytest.approx(0.0, abs=1e-9)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_luo_cov_variant(self):
-        v = relations.check_luo(*cov_variant_triple())
+        v = verdict("luo", *cov_variant_triple())
         assert v.lhs == pytest.approx(0.25, abs=1e-12)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_luo_maximally_mixed(self):
         rho = DensityMatrix(np.eye(3) / 3.0)
         rng = np.random.default_rng(5)
-        v = relations.check_luo(
+        v = verdict("luo", 
             rho, oracles.random_hermitian(3, rng), oracles.random_hermitian(3, rng)
         )
         assert v.lhs == pytest.approx(0.0, abs=1e-12)
@@ -86,15 +95,15 @@ class TestTheoremChecks:
         rho = pure_state(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         a = Observable(oracles.random_hermitian(3, rng))
         b = Observable(oracles.random_hermitian(3, rng))
-        hv = relations.check_heisenberg(rho, a, b)
-        lv = relations.check_luo(rho, a, b)
+        hv = verdict("heisenberg", rho, a, b)
+        lv = verdict("luo", rho, a, b)
         assert lv.lhs == pytest.approx(hv.lhs, abs=1e-9)
         assert lv.rhs == pytest.approx(hv.rhs, abs=1e-12)
 
     def test_schrodinger_wy_cov_variant(self):
         rho, a, b = cov_variant_triple()
-        v = relations.check_schrodinger_wy(rho, a, b)
-        corr = quantities.correlation(rho, a, b)
+        v = verdict("schrodinger_wy", rho, a, b)
+        corr = quantities.full_report(rho, a, b).corr
         assert v.lhs == pytest.approx(0.25 - corr.real**2, abs=1e-12)
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
         assert v.holds
@@ -104,8 +113,8 @@ class TestTheoremChecks:
         rho = pure_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         a = Observable(oracles.random_hermitian(4, rng))
         b = Observable(oracles.random_hermitian(4, rng))
-        sv = relations.check_schrodinger(rho, a, b)
-        wv = relations.check_schrodinger_wy(rho, a, b)
+        sv = verdict("schrodinger", rho, a, b)
+        wv = verdict("schrodinger_wy", rho, a, b)
         assert wv.lhs == pytest.approx(sv.lhs, abs=1e-9)
         assert wv.rhs == pytest.approx(sv.rhs, abs=1e-12)
         assert wv.holds == sv.holds
@@ -120,7 +129,7 @@ class TestTheoremChecks:
 
 class TestFalsifiableRelations:
     def test_cov_variant_gap_is_minus_three_quarters(self):
-        v = relations.eval_false_cov_variant(*cov_variant_triple())
+        v = verdict("false_cov_variant", *cov_variant_triple())
         assert v.gap == pytest.approx(-0.75, abs=1e-10)
         assert not v.holds
 
@@ -129,28 +138,28 @@ class TestFalsifiableRelations:
         rho = pure_state(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         a = Observable(oracles.random_hermitian(3, rng))
         b = Observable(oracles.random_hermitian(3, rng))
-        v = relations.eval_false_cov_variant(rho, a, b)
-        s = relations.check_schrodinger(rho, a, b)
+        v = verdict("false_cov_variant", rho, a, b)
+        s = verdict("schrodinger", rho, a, b)
         assert v.lhs == pytest.approx(s.lhs, abs=1e-9)
         assert v.holds
 
     def test_cov_variant_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2) / 2.0)
         rng = np.random.default_rng(19)
-        v = relations.eval_false_cov_variant(
+        v = verdict("false_cov_variant", 
             rho, oracles.random_hermitian(2, rng), oracles.random_hermitian(2, rng)
         )
         assert v.lhs <= 1e-12
         assert v.rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_re_ordering_gap(self):
-        v = relations.eval_re_ordering(*re_ordering_triple())
+        v = verdict("false_re_ordering", *re_ordering_triple())
         assert v.gap == pytest.approx(RE_ORDERING_GAP, abs=1e-10)
         assert v.gap == pytest.approx(-0.1539, abs=1e-10)
         assert not v.holds
 
     def test_re_ordering_positive_on_cov_variant_triple(self):
-        v = relations.eval_re_ordering(*cov_variant_triple())
+        v = verdict("false_re_ordering", *cov_variant_triple())
         assert v.gap > 0.5  # Cov^2 = 1 vs Corr^2 = (1 - sqrt(3)/2)^2
 
     def test_re_ordering_pure_state(self):
@@ -158,18 +167,18 @@ class TestFalsifiableRelations:
         rho = pure_state(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         a = Observable(oracles.random_hermitian(2, rng))
         b = Observable(oracles.random_hermitian(2, rng))
-        v = relations.eval_re_ordering(rho, a, b)
+        v = verdict("false_re_ordering", rho, a, b)
         assert v.gap == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLhsDifference:
     def test_cov_variant_value(self):
-        d = relations.eval_lhs_difference(*cov_variant_triple())
+        d = lhs_difference(*cov_variant_triple())
         assert d == pytest.approx(COV_VARIANT_LHS_DIFFERENCE, abs=1e-12)
         assert d == pytest.approx(-0.232051, rel=1e-5)
 
     def test_re_ordering_value(self):
-        d = relations.eval_lhs_difference(*re_ordering_triple())
+        d = lhs_difference(*re_ordering_triple())
         assert d == pytest.approx(RE_ORDERING_LHS_DIFFERENCE, abs=1e-10)
         assert d == pytest.approx(13.7862, rel=1e-5)
 
@@ -178,11 +187,11 @@ class TestLhsDifference:
         rho = pure_state(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         a = Observable(oracles.random_hermitian(3, rng))
         b = Observable(oracles.random_hermitian(3, rng))
-        assert relations.eval_lhs_difference(rho, a, b) == pytest.approx(0.0, abs=1e-9)
+        assert lhs_difference(rho, a, b) == pytest.approx(0.0, abs=1e-9)
 
     def test_both_signs_witnessed(self):
-        assert relations.eval_lhs_difference(*cov_variant_triple()) < 0
-        assert relations.eval_lhs_difference(*re_ordering_triple()) > 0
+        assert lhs_difference(*cov_variant_triple()) < 0
+        assert lhs_difference(*re_ordering_triple()) > 0
 
 
 class TestBoundTightness:
@@ -216,24 +225,76 @@ class TestProofChain:
         rho = DensityMatrix(oracles.random_state(3, rng))
         a = Observable(oracles.random_hermitian(3, rng))
         t = relations.proof_chain(rho, a, a)
-        i_val = quantities.wy_skew_information(rho, a)
-        j_val = quantities.j_quantity(rho, a)
+        report = quantities.full_report(rho, a, a)
+        i_val, j_val = report.i_a, report.j_a
         assert t.t_corr_sq == pytest.approx(i_val**2, abs=1e-9)
         assert t.t_ij == pytest.approx(i_val * j_val, abs=1e-9)
         assert t.t_corr_sq <= t.t_ij + 1e-9
 
     def test_corr_sum_matches_trace_form(self):
-        # the eigenbasis sum inside the chain reproduces correlation()
+        # the eigenbasis sum inside the chain reproduces the report's Corr
         for rho, a, b in random_triples(40, (2, 4, 5), seed=43):
             t = relations.proof_chain(rho, a, b)
-            corr = quantities.correlation(rho, a, b)
+            corr = quantities.full_report(rho, a, b).corr
             assert t.t_corr_sq == pytest.approx(abs(corr) ** 2, abs=1e-9)
 
     def test_verdict_structure(self):
-        v = relations.check_heisenberg(*cov_variant_triple())
+        report = quantities.full_report(*cov_variant_triple())
+        v = relations.verdict_from_report(report, "heisenberg")
         assert v.gap == v.lhs - v.rhs
-        assert v.holds == (v.gap >= -relations.HOLD_TOL)
+        # the hold tolerance is relative to the terms of the gap: V_A V_B and the rhs
+        size = abs(report.v_a * report.v_b) + abs(v.rhs)
+        assert v.holds == (v.gap >= -relations.HOLD_TOL * max(1.0, size))
         with pytest.raises(ValueError):
             relations.verdict_from_report(
                 quantities.full_report(*cov_variant_triple()), "nonsense"
             )
+
+
+class TestScaleAwareVerdicts:
+    """True theorems hold at any scale of A and B; the counterexamples still fail."""
+
+    SCALES = (1e2, 1e3, 1e4)
+
+    @staticmethod
+    def _stack(dim, kind, scale, count, equal_observables=False):
+        indices = np.arange(count)
+        states = ensembles.random_density_stack(EnsembleSpec(dim=dim, kind=kind, seed=5), indices)
+        a = ensembles.random_observable_stack(dim, scale, 5 ^ ensembles.SALT_OBSERVABLE_A, indices)
+        b = a if equal_observables else ensembles.random_observable_stack(
+            dim, scale, 5 ^ ensembles.SALT_OBSERVABLE_B, indices
+        )
+        return states, a, b
+
+    def _assert_theorems_hold(self, states, a, b):
+        report = quantities.full_report_stack(states, a, b)
+        for v in relations.verdicts_from_report(report):
+            failed = np.flatnonzero(~v.holds)
+            assert failed.size == 0, (v.relation_id, failed.size, v.gap[failed].min())
+        # the one-triple path holds too, with Python bools
+        for row in range(0, len(a), 50):
+            rho = states.state(row)
+            for v in relations.verdicts_from_report(quantities.full_report(rho, a[row], b[row])):
+                assert v.holds is True, (v.relation_id, row, v.gap)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_pure_qubits(self, scale):
+        # pure qubit states make both Schrodinger-type bounds equalities
+        self._assert_theorems_hold(*self._stack(2, "pure", scale, 2000))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_dim_8(self, scale):
+        for kind in ("ginibre_mixed", "pure"):
+            self._assert_theorems_hold(*self._stack(8, kind, scale, 300))
+        # B = A on pure states makes schrodinger_wy an equality
+        self._assert_theorems_hold(*self._stack(8, "pure", scale, 300, equal_observables=True))
+
+    def test_counterexamples_fail_when_scaled(self):
+        for triple, relation_id in (
+            (cov_variant_triple(), "false_cov_variant"),
+            (re_ordering_triple(), "false_re_ordering"),
+        ):
+            rho, a, b = triple
+            v = verdict(relation_id, rho, 1e3 * a.matrix, 1e3 * b.matrix)
+            assert not v.holds, v
+            assert v.gap < 0

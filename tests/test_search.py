@@ -11,6 +11,11 @@ from skewrel.errors import BadSpec
 from skewrel.search import SearchTask, Witness, refine_witness, run_search
 
 
+def objective_value(objective, rho, a, b) -> float:
+    """Score one triple through the one-triple report."""
+    return search.objective_from_report(objective, quantities.full_report(rho, a, b))
+
+
 def small_task(**overrides):
     base = dict(
         objective="min_gap_false_cov_variant",
@@ -190,7 +195,7 @@ class TestBatchedPath:
         for objective in search.OBJECTIVES:
             batched = search.objective_from_report(objective, report)
             for row, index in enumerate(indices):
-                single = search.objective_value(
+                single = objective_value(
                     objective,
                     ensembles.random_density(spec, int(index)),
                     ensembles.random_observable(
@@ -209,7 +214,7 @@ class TestBatchedPath:
             task = small_task(objective=objective, dim=dim, samples=6, state_kind=kind)
             values = search.evaluate_all(task)
             for index in range(task.samples):
-                single = search.objective_value(objective, *_per_triple(task, index))
+                single = objective_value(objective, *_per_triple(task, index))
                 assert abs(values[index] - single) <= 1e-12 * max(1.0, abs(single))
 
     def test_chunk_boundaries_change_no_value(self):
@@ -221,7 +226,7 @@ class TestBatchedPath:
         head = search.evaluate_all(replace(task, samples=40))
         assert values[:40].tobytes() == head.tobytes()
         for index in range(rows - 3, rows + 3):
-            single = search.objective_value(task.objective, *_per_triple(task, index))
+            single = objective_value(task.objective, *_per_triple(task, index))
             assert abs(values[index] - single) <= 1e-12 * max(1.0, abs(single))
         first = [_witness_bytes(w) for w in run_search(task)]
         second = [_witness_bytes(w) for w in run_search(task)]
@@ -341,7 +346,7 @@ class TestSpeculativeRefine:
         for index in range(4):
             a = ensembles.random_observable(2, 1.0, 11, index).matrix
             b = ensembles.random_observable(2, 1.0, 12, index).matrix
-            value = search.objective_value(objective, quantities.DensityMatrix(rho), a, b)
+            value = objective_value(objective, quantities.DensityMatrix(rho), a, b)
             witnesses.append(Witness(rho, a, b, value, index))
         _assert_matches_lockstep(witnesses, objective, 60, [1, 2, 3, 4], initial_step=50.0)
         assert sum(dead_rows) > 0
