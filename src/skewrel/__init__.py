@@ -7,17 +7,13 @@ from .errors import (
     MalformedDocument,
     NegativeSpectrum,
     NoConvergence,
+    NonFiniteResult,
     NotHermitian,
     SkewrelError,
     TraceNotOne,
     ValidationError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    hermitian_eig,
-    hermitian_eig_stack,
-    matrix_power,
-)
+from .linalg import SpectralDecomposition, hermitian_eig, hermitian_eig_stack
 from .quantities import (
     DensityMatrix,
     Observable,
@@ -58,6 +54,7 @@ __all__ = [
     "MalformedDocument",
     "NegativeSpectrum",
     "NoConvergence",
+    "NonFiniteResult",
     "NotHermitian",
     "Observable",
     "ProofChainTrace",
@@ -75,7 +72,6 @@ __all__ = [
     "hermitian_eig",
     "hermitian_eig_stack",
     "matrix_elements",
-    "matrix_power",
     "proof_chain",
     "random_density",
     "random_density_stack",

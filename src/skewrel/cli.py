@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
 from . import counterexamples, ensembles, quantities, relations, search, serialize
-from .errors import MalformedDocument, ValidationError
+from .errors import MalformedDocument, NonFiniteResult, ValidationError
 from .relations import THEOREM_IDS, RELATION_IDS
 
 _OBJECTIVE_ALIASES = {
@@ -108,9 +109,16 @@ def _verdict_table(verdicts, heading=None) -> str:
     return "\n".join(lines)
 
 
-def _check_one(rho, a, b, ids) -> tuple[list, bool]:
+def _check_one(rho, a, b, ids, name=None) -> tuple[list, bool]:
     report = quantities.full_report(rho, a, b)
     verdicts = relations.verdicts_from_report(report, ids)
+    for v in verdicts:
+        for term in ("lhs", "rhs", "gap"):
+            value = getattr(v, term)
+            if not math.isfinite(value):
+                # an overflowed term decides nothing, so it is not reported as a failure
+                where = f"{name}: " if name else ""
+                raise NonFiniteResult(f"{where}{v.relation_id}.{term} is not finite ({value!r})")
     return verdicts, all(v.holds for v in verdicts)
 
 
@@ -127,19 +135,22 @@ def _cmd_check(args) -> int:
             ids.append(token)
     doc = serialize.load_document(args.input)
     all_hold = True
+    tables = []  # printed only once every entry is checked, so an error prints nothing
     if isinstance(doc, dict) and "witnesses" in doc:
         if not isinstance(doc["witnesses"], list):
             raise MalformedDocument("witnesses must be an array of problem documents")
         for idx, entry in enumerate(doc["witnesses"]):
             rho, a, b, label = serialize.problem_from_wire(entry)
-            verdicts, ok = _check_one(rho, a, b, ids)
-            all_hold = all_hold and ok
             name = label or f"witness-{idx}"
-            print(_verdict_table(verdicts, heading=f"[{name}]"))
+            verdicts, ok = _check_one(rho, a, b, ids, name)
+            all_hold = all_hold and ok
+            tables.append(_verdict_table(verdicts, heading=f"[{name}]"))
     else:
         rho, a, b, _ = serialize.problem_from_wire(doc)
         verdicts, all_hold = _check_one(rho, a, b, ids)
-        print(_verdict_table(verdicts))
+        tables.append(_verdict_table(verdicts))
+    for table in tables:
+        print(table)
     return 0 if all_hold else 3
 
 
@@ -211,8 +222,9 @@ def _cmd_search(args) -> int:
         doc["witnesses"].append(entry)
 
     if args.out:
+        text = serialize.document_text(doc)  # before the file is opened, in case it raises
         with open(args.out, "w", encoding="utf-8") as fh:
-            serialize.dump_document(doc, fh)
+            fh.write(text)
     else:
         serialize.dump_document(doc, sys.stdout)
 

@@ -41,5 +41,9 @@ class MalformedDocument(ValidationError):
     """A problem/report/witness document violates its schema."""
 
 
+class NonFiniteResult(ValidationError):
+    """A computed result is NaN or infinite, so it cannot be reported."""
+
+
 class NoConvergence(SkewrelError):
     """The eigensolver did not reach its off-diagonal threshold within budget."""

@@ -2,8 +2,8 @@
 
 Everything downstream (states, uncertainty functionals, relation checks)
 is built on the operations in this module: LAPACK's Hermitian eigensolver
-with a fixed ordering and phase convention, and spectral matrix powers.
-The eigensolver works on stacks of matrices
+with a fixed ordering and phase convention, and the validation of its
+inputs.  The eigensolver works on stacks of matrices
 (``hermitian_eig_stack``); ``hermitian_eig`` is its one-matrix case.  All
 functions are pure; matrices are never mutated in place.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeSpectrum, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 # Tolerances for input validation.
 HERMITIAN_TOL = 1e-10
@@ -154,21 +154,3 @@ def hermitian_eig(m, what: str = "matrix") -> SpectralDecomposition:
     """Eigensystem of one Hermitian matrix: the one-matrix case of hermitian_eig_stack."""
     w, v = _eigh_sorted(require_hermitian(m, what=what)[None])
     return SpectralDecomposition(w[0], v[0])
-
-
-def matrix_power(s: SpectralDecomposition, p: float) -> np.ndarray:
-    """Fractional power of a PSD matrix from its spectral decomposition.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to 0 before exponentiation;
-    anything more negative raises NegativeSpectrum.  Only p in (0, 1] is
-    supported, which covers every power used by the functionals here.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"power must lie in (0, 1], got {p}")
-    w = s.eigenvalues
-    if w.min(initial=0.0) < -PSD_TOL:
-        raise NegativeSpectrum(
-            f"matrix is not PSD: smallest eigenvalue {w.min():.3e} < -{PSD_TOL:.0e}"
-        )
-    clipped = np.clip(w, 0.0, None)
-    return (s.eigenvectors * clipped**p) @ s.eigenvectors.conj().T

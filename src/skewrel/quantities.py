@@ -10,9 +10,9 @@ For a density matrix rho and Hermitian H (centered as H0 = H - <H> I):
     U(H)      = sqrt(I J) = sqrt(V^2 - (V - I)^2)
     Corr(A,B) = Tr[rho A B] - Tr[sqrt(rho) A sqrt(rho) B]
 
-plus the one-parameter family I_alpha(H) built from rho^alpha and
-rho^(1-alpha), and the eigenbasis (spectral) forms of I and the J lower
-bound used for cross-checks.  full_report evaluates every functional of
+plus the one-parameter family I_alpha(H), computed in the eigenbasis of
+rho, and the eigenbasis (spectral) forms of I and the J lower bound used
+for cross-checks.  full_report evaluates every functional of
 one triple and full_report_stack of N triples, through one kernel.
 """
 
@@ -60,7 +60,7 @@ class DensityMatrix:
     both constructors go through the stacked validation.
     """
 
-    __slots__ = ("matrix", "spectral", "sqrt", "_powers", "_weights")
+    __slots__ = ("matrix", "spectral", "sqrt", "_weights")
 
     def __init__(self, matrix):
         m = linalg.as_complex_matrix(matrix)
@@ -86,20 +86,11 @@ class DensityMatrix:
         self.matrix = stack.matrix[i]
         self.spectral = SpectralDecomposition(stack.eigenvalues[i], stack.eigenvectors[i])
         self.sqrt = stack.sqrt[i]
-        self._powers = {}
         self._weights = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def power(self, p: float) -> np.ndarray:
-        """rho**p for p in (0, 1], from the cached spectrum (memoized)."""
-        cached = self._powers.get(p)
-        if cached is None:
-            cached = linalg.matrix_power(self.spectral, p)
-            self._powers[p] = cached
-        return cached
 
 
 class StateStack:
@@ -267,21 +258,26 @@ def _center(rho: DensityMatrix, h) -> np.ndarray:
 def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
     """One-parameter skew information (1/2) Tr[(i[rho^a, H])(i[rho^(1-a), H])].
 
-    Only the open interval 0 < alpha < 1 is accepted: at the endpoints
-    rho^0 would be rank-dependent, so the request is rejected rather than
-    silently computed.  Symmetric under alpha <-> 1 - alpha, equal to
-    the skew information I (full_report's i_a, i_b) at alpha = 1/2, and
-    unchanged by centering H (identity shifts drop out of commutators).
+    Evaluated in the eigenbasis of rho as
+    (1/2) sum_ij (l_i^a - l_j^a)(l_i^(1-a) - l_j^(1-a)) |h_ij|^2 with
+    h = V^dagger H V; the weight vanishes on the diagonal, so H need not
+    be centered.  Only the open interval 0 < alpha < 1 is accepted: at
+    the endpoints rho^0 would be rank-dependent, so the request is
+    rejected rather than silently computed.  Symmetric under
+    alpha <-> 1 - alpha and equal to the skew information I (full_report's
+    i_a, i_b) at alpha = 1/2.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
     m = _as_obs_matrix(h)
     _check_dims(rho, m)
-    xa = rho.power(alpha) @ m
-    xb = rho.power(1.0 - alpha) @ m
-    ca = 1j * (xa - xa.conj().T)
-    cb = 1j * (xb - xb.conj().T)
-    val = 0.5 * _tr_product(ca, cb).real
+    lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
+    v = rho.spectral.eigenvectors
+    helems = v.conj().T @ m @ v
+    pa = lam**alpha
+    pb = lam ** (1.0 - alpha)
+    weight = np.subtract.outer(pa, pa) * np.subtract.outer(pb, pb)
+    val = 0.5 * float((weight * (helems.real**2 + helems.imag**2)).sum())
     return _real_floor(val)
 
 

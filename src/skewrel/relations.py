@@ -16,6 +16,7 @@ Two more are evaluated but never asserted, because counterexamples exist
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +73,25 @@ def _verdict(relation_id: str, lhs, rhs, *terms) -> InequalityVerdict:
     return InequalityVerdict(relation_id, lhs, rhs, gap, holds)
 
 
+def _square(x):
+    """x ** 2, and inf where a Python float's ** raises OverflowError (numpy gives inf)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def verdict_from_report(report: UncertaintyReport, relation_id: str) -> InequalityVerdict:
     """One relation's verdict from an already-computed report.
 
     Works on a one-triple report and on a stacked one, whose verdict
     fields are then (N,) arrays.
     """
-    rhs = 0.25 * abs(report.commutator_avg) ** 2
+    rhs = 0.25 * _square(abs(report.commutator_avg))
     vv = report.v_a * report.v_b
     uu = report.u_a * report.u_b
-    cov_sq = report.cov.real**2
-    corr_sq = report.corr.real**2
+    cov_sq = _square(report.cov.real)
+    corr_sq = _square(report.corr.real)
     if relation_id == "heisenberg":
         return _verdict(relation_id, vv, rhs, vv, rhs)
     if relation_id == "schrodinger":
@@ -104,8 +113,8 @@ def verdicts_from_report(report: UncertaintyReport, ids=THEOREM_IDS) -> list[Ine
 
 def lhs_difference_from_report(report: UncertaintyReport) -> float:
     """schrodinger lhs minus schrodinger_wy lhs; takes both signs."""
-    lhs_s = report.v_a * report.v_b - report.cov.real**2
-    lhs_wy = report.u_a * report.u_b - report.corr.real**2
+    lhs_s = report.v_a * report.v_b - _square(report.cov.real)
+    lhs_wy = report.u_a * report.u_b - _square(report.corr.real)
     return lhs_s - lhs_wy
 
 
@@ -139,10 +148,10 @@ def proof_chain(
     coef = lam[:, None] - geo                   # l_i - sqrt(l_i l_j)
     cross = aelem * belem.T                     # a_ij b_ji
     corr_sum = complex((coef[offdiag] * cross[offdiag]).sum())
-    t_corr_sq = abs(corr_sum) ** 2
+    t_corr_sq = _square(abs(corr_sum))
 
     moduli = np.abs(coef) * np.abs(cross)       # |l_i - sqrt(l_i l_j)| |a_ij| |b_ji|
-    t_triangle = float((moduli[upper] + moduli.T[upper]).sum()) ** 2
+    t_triangle = _square(float((moduli[upper] + moduli.T[upper]).sum()))
 
     abs_a_sq = np.abs(aelem) ** 2
     abs_b_sq = np.abs(belem) ** 2

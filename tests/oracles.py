@@ -2,12 +2,16 @@
 
 Everything here deliberately avoids the package's own code paths: a
 cyclic Jacobi eigensolver with complex rotations for eigensystems (the
-library uses LAPACK), direct trace formulas for the functionals, and
-explicit double loops for the eigenbasis sums.  The one exception is
+library uses LAPACK), direct trace formulas for the functionals (I_alpha
+from fractional matrix powers, where the library works in the
+eigenbasis), explicit double loops for the eigenbasis sums, and the
+standard library's json encoder with ``indent=2`` for the wire writer.  The one exception is
 lockstep_refine, the one-step-at-a-time reference walk for witness
 refinement: it uses the library's evaluation path on purpose, so that
 comparing it with search.refine_witnesses isolates the walk schedule.
 """
+
+import json
 
 import numpy as np
 
@@ -96,6 +100,27 @@ def eigh_sqrt(rho: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def matrix_power(rho: np.ndarray, p: float) -> np.ndarray:
+    """rho**p of a PSD matrix from its Jacobi eigensystem.
+
+    Eigenvalues below quantities.EIGENVALUE_DUST count as 0, the library's
+    rule for states: a roundoff eigenvalue of 1e-17 would otherwise weigh
+    (1e-17)**0.1 = 0.02 in a small power.
+    """
+    w, v = jacobi_eigh(rho)
+    w = np.where(w < quantities.EIGENVALUE_DUST, 0.0, w)
+    return (v * w**p) @ v.conj().T
+
+
+def wyd_skew_information(rho, h, alpha) -> float:
+    """(1/2) Tr[(i[rho^a, H])(i[rho^(1-a), H])], from the two matrix powers."""
+    xa = matrix_power(rho, alpha) @ h
+    xb = matrix_power(rho, 1.0 - alpha) @ h
+    ca = 1j * (xa - xa.conj().T)
+    cb = 1j * (xb - xb.conj().T)
+    return float(0.5 * np.trace(ca @ cb).real)
+
+
 def mean(rho, h) -> float:
     return float(np.trace(rho @ h).real)
 
@@ -158,6 +183,26 @@ def spectral_sums(rho, h) -> tuple[float, float, float]:
         max(w[i], 0.0) * helems[i, i].real ** 2 for i in range(n)
     )
     return i_sum, j_sum, slack
+
+
+def matrix_to_wire(m) -> list:
+    """Nested rows of [re, im] pairs, one Python complex at a time."""
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(m, dtype=np.complex128).tolist()]
+
+
+def _plain(o):
+    if isinstance(o, np.ndarray):
+        return matrix_to_wire(o)
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return o
+
+
+def document_text(doc) -> str:
+    """json.dumps(doc, indent=2) plus a newline, with 2-D ndarrays as wire matrices."""
+    return json.dumps(_plain(doc), indent=2) + "\n"
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

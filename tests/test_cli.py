@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from skewrel import cli, serialize
 from skewrel.cli import main
 from skewrel.errors import ValidationError
+from skewrel.relations import RELATION_IDS
 from skewrel.counterexamples import cov_variant_triple, re_ordering_triple
+
+import oracles
 
 
 def write_problem(path, rho, a, b, label=None):
-    doc = serialize.problem_to_wire(rho, a, b, label)
-    path.write_text(json.dumps(doc))
+    with open(path, "w", encoding="utf-8") as fh:
+        serialize.dump_document(serialize.problem_to_wire(rho, a, b, label), fh)
     return str(path)
 
 
@@ -77,9 +80,9 @@ class TestCompute:
 
     def test_non_hermitian_observable_exits_2(self, tmp_path, capsys):
         doc = {
-            "rho": serialize.matrix_to_wire(np.diag([0.5, 0.5])),
-            "A": serialize.matrix_to_wire(np.array([[0, 1], [0, 0]])),
-            "B": serialize.matrix_to_wire(np.eye(2)),
+            "rho": oracles.matrix_to_wire(np.diag([0.5, 0.5])),
+            "A": oracles.matrix_to_wire(np.array([[0, 1], [0, 0]])),
+            "B": oracles.matrix_to_wire(np.eye(2)),
         }
         path = tmp_path / "nh.json"
         path.write_text(json.dumps(doc))
@@ -150,6 +153,89 @@ class TestCheck:
         path.write_text('{"witnesses": %s}' % witnesses)
         assert main(["check", str(path)]) == 2
         assert "witnesses must be an array" in capsys.readouterr().err
+
+
+HUGE_RHO = np.array([[0.3, 0.1 + 0.05j], [0.1 - 0.05j, 0.7]])
+HUGE_A = 1e200 * np.array([[1.0, 2.0], [2.0, 3.0]])
+HUGE_B = 1e200 * np.array([[2.0, 1j], [-1j, 1.0]])
+
+
+class TestNonFiniteResults:
+    """Observables near 1e200 overflow the functionals: exit 2, name the field, print nothing."""
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        return write_problem(tmp_path / "huge.json", HUGE_RHO, HUGE_A, HUGE_B)
+
+    @pytest.mark.parametrize("extra", [[], ["--chain", "--wyd", "0.3"]])
+    def test_compute_exits_2(self, huge_file, capsys, extra):
+        assert main(["compute", huge_file] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "validation error: report.V_A is not finite" in err
+
+    def test_check_exits_2_not_3(self, huge_file, capsys):
+        assert main(["check", huge_file, "--relations", ",".join(RELATION_IDS)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "validation error: heisenberg.lhs is not finite" in err
+
+    def test_check_witness_file_prints_nothing(self, tmp_path, capsys):
+        rho, a, b = cov_variant_triple()
+        entries = [
+            serialize.problem_to_wire(rho.matrix, a.matrix, b.matrix, "fine"),
+            serialize.problem_to_wire(HUGE_RHO, HUGE_A, HUGE_B),
+        ]
+        path = tmp_path / "w.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            serialize.dump_document({"witnesses": entries}, fh)
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "witness-1: heisenberg.lhs is not finite" in err
+
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--chain"], ["check"]])
+    def test_overflowing_square_exits_2(self, tmp_path, capsys, argv):
+        # a Python float's ** raises OverflowError on 1e200 ** 2, where numpy gives inf
+        big = np.diag([0.0, 0.0, 1e200])
+        path = write_problem(tmp_path / "ovf.json", np.eye(3) / 3, np.diag([0.0, 0.0, 43.0]), big)
+        assert main(argv + [path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "is not finite (inf)" in err
+
+    def test_search_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        argv = [
+            "search", "--objective", "false_cov_variant", "--dim", "3", "--samples", "20",
+            "--top", "2", "--scale", "1e200",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "witnesses[0].objective_value is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputIsJsonIndent2:
+    """Every document the CLI writes is json.dumps(doc, indent=2) plus a newline."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "{cov}", "--chain", "--wyd", "0.3", "--wyd", "0.5"],
+            ["compute", "{re}"],
+            ["search", "--objective", "sign_witnesses", "--dim", "3", "--samples", "30",
+             "--top", "3"],
+            ["search", "--objective", "re_ordering", "--dim", "8", "--samples", "20", "--top", "2",
+             "--refine", "--refine-steps", "5", "--state-kind", "rank_k", "--rank", "3"],
+        ],
+    )
+    def test_stdout_documents(self, cov_variant_file, re_ordering_file, capsys, argv):
+        argv = [x.format(cov=cov_variant_file, re=re_ordering_file) for x in argv]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestReproduce:
@@ -323,14 +409,14 @@ def wire_matrices(draw, n):
 def hermitian_wire(draw, n):
     vals = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3) | st.floats(-1e200, 1e200)
     m = np.array(draw(st.lists(vals, min_size=n * n, max_size=n * n))).reshape(n, n)
-    return serialize.matrix_to_wire(np.triu(m) + np.triu(m, 1).T)
+    return oracles.matrix_to_wire(np.triu(m) + np.triu(m, 1).T)
 
 
 @st.composite
 def problems(draw):
     n = draw(st.integers(1, 3))
     states = st.sampled_from(
-        [serialize.matrix_to_wire(m) for m in (np.eye(n) / n, np.diag(np.eye(n)[0]))]
+        [oracles.matrix_to_wire(m) for m in (np.eye(n) / n, np.diag(np.eye(n)[0]))]
     )
 
     def pick(valid):

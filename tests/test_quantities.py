@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skewrel import ensembles
 from skewrel import quantities as q
 from skewrel.counterexamples import (
     COV_VARIANT_SKEW,
@@ -289,6 +290,20 @@ class TestWydSkewInformation:
     def test_nonnegative(self):
         for rho, a, _ in random_triples(20, (2, 3, 4), seed=59):
             assert q.wyd_skew_information(rho, a, 0.35) >= -1e-10
+
+    @pytest.mark.parametrize("kind", ["ginibre_mixed", "pure", "diagonal", "degenerate_spectrum"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_eigenbasis_form_matches_trace_form(self, kind, scale):
+        for d in range(2, 9):
+            for i in range(3):
+                rho = ensembles.random_density(ensembles.EnsembleSpec(dim=d, seed=61, kind=kind), i)
+                h = ensembles.random_observable(d, scale, 67, i).matrix
+                # relative, with a floor for values that vanish (rho = I/2 commutes with h)
+                floor = 1e-3 * np.linalg.norm(h) ** 2
+                for alpha in (0.1, 0.3, 0.5, 0.75):
+                    ref = oracles.wyd_skew_information(rho.matrix, h, alpha)
+                    got = q.wyd_skew_information(rho, h, alpha)
+                    assert abs(got - ref) <= 1e-11 * max(abs(ref), floor)
 
 
 class TestJAndU:
