@@ -4,6 +4,7 @@ from .errors import (
     AlphaOutOfRange,
     BadSpec,
     DimensionMismatch,
+    InconsistentResult,
     MalformedDocument,
     NegativeSpectrum,
     NoConvergence,
@@ -13,7 +14,7 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import SpectralDecomposition, hermitian_eig, hermitian_eig_stack
+from .linalg import hermitian_eig_stack
 from .quantities import (
     DensityMatrix,
     Observable,
@@ -50,6 +51,7 @@ __all__ = [
     "DensityMatrix",
     "DimensionMismatch",
     "EnsembleSpec",
+    "InconsistentResult",
     "InequalityVerdict",
     "MalformedDocument",
     "NegativeSpectrum",
@@ -60,7 +62,6 @@ __all__ = [
     "ProofChainTrace",
     "SearchTask",
     "SkewrelError",
-    "SpectralDecomposition",
     "SpectralSums",
     "StateStack",
     "TraceNotOne",
@@ -69,7 +70,6 @@ __all__ = [
     "Witness",
     "full_report",
     "full_report_stack",
-    "hermitian_eig",
     "hermitian_eig_stack",
     "matrix_elements",
     "proof_chain",

@@ -22,6 +22,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import counterexamples, ensembles, quantities, relations, search, serialize
 from .errors import MalformedDocument, NonFiniteResult, ValidationError
 from .relations import THEOREM_IDS, RELATION_IDS
@@ -316,7 +318,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the validation code.
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every non-finite value is refused by a typed error, so numpy's
+        # overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1

@@ -42,15 +42,18 @@ def re_ordering_triple() -> tuple[DensityMatrix, Observable, Observable]:
     return rho, a, b
 
 
-BUILTIN_TRIPLE_COUNT = 2
+# The built-in triples by name, in the order search injects them.
+BUILTIN_TRIPLES = {
+    "cov_variant": cov_variant_triple,
+    "re_ordering": re_ordering_triple,
+}
+BUILTIN_TRIPLE_COUNT = len(BUILTIN_TRIPLES)
 
 
 def builtin_triple(index: int) -> tuple[DensityMatrix, Observable, Observable]:
-    if index == 0:
-        return cov_variant_triple()
-    if index == 1:
-        return re_ordering_triple()
-    raise IndexError(index)
+    if not 0 <= index < BUILTIN_TRIPLE_COUNT:
+        raise IndexError(index)
+    return list(BUILTIN_TRIPLES.values())[index]()
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,8 @@ CASE_ALIASES = {
 }
 
 
-def _triple_by_name(name: str):
-    if name == "cov_variant":
-        return cov_variant_triple()
-    if name == "re_ordering":
-        return re_ordering_triple()
-    raise ValueError(f"unknown triple {name!r}")
-
-
 def compute_reference_value(row: ReferenceRow) -> float:
-    report = quantities.full_report(*_triple_by_name(row.triple))
+    report = quantities.full_report(*BUILTIN_TRIPLES[row.triple]())
     if row.quantity == "false_cov_variant_gap":
         return relations.verdict_from_report(report, "false_cov_variant").gap
     if row.quantity == "re_ordering_gap":

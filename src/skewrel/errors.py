@@ -45,5 +45,9 @@ class NonFiniteResult(ValidationError):
     """A computed result is NaN or infinite, so it cannot be reported."""
 
 
+class InconsistentResult(ValidationError):
+    """Two independent forms of one computed functional disagree beyond tolerance."""
+
+
 class NoConvergence(SkewrelError):
     """The eigensolver did not reach its off-diagonal threshold within budget."""

@@ -4,13 +4,12 @@ Everything downstream (states, uncertainty functionals, relation checks)
 is built on the operations in this module: LAPACK's Hermitian eigensolver
 with a fixed ordering and phase convention, and the validation of its
 inputs.  The eigensolver works on stacks of matrices
-(``hermitian_eig_stack``); ``hermitian_eig`` is its one-matrix case.  All
+(``hermitian_eig_stack``).  Validation returns the Hermitian part of its
+input, so every matrix that passes it is exactly Hermitian.  All
 functions are pure; matrices are never mutated in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +53,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _check_hermitian(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself if exactly Hermitian, its Hermitian part if within tolerance."""
     defect = hermiticity_defect(a)
+    if defect == 0.0:
+        return a
     if defect > HERMITIAN_TOL:
         raise NotHermitian(
             f"{what} is not Hermitian: "
             f"max |M - M^dagger| = {defect:.3e} > {HERMITIAN_TOL:.0e}"
         )
-    return a
+    return (a + _adjoint(a)) / 2.0
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
@@ -70,28 +72,6 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 def require_hermitian_stack(ms, what: str = "matrix") -> np.ndarray:
     """require_hermitian for every matrix of an (N, d, d) stack."""
     return _check_hermitian(as_complex_stack(ms), what)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix.
-
-    eigenvalues are real and sorted descending; eigenvectors[:, j] is the
-    unit eigenvector paired with eigenvalues[j], with each vector's
-    largest-magnitude component made real positive so the decomposition
-    serializes reproducibly.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * |v><v|, i.e. the decomposed matrix."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
 def canonical_phases(vectors: np.ndarray) -> np.ndarray:
@@ -122,16 +102,6 @@ def sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w[rows, order], np.ascontiguousarray(sorted_cols.swapaxes(-1, -2))
 
 
-def _eigh_sorted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Work on the Hermitian average so roundoff in the input cannot feed
-    # a non-Hermitian component into the solver.
-    try:
-        w, v = np.linalg.eigh((a + _adjoint(a)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
-    return sort_descending(w, v)
-
-
 def hermitian_eig_stack(ms, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a stack of Hermitian matrices with LAPACK (numpy.linalg.eigh).
 
@@ -147,10 +117,9 @@ def hermitian_eig_stack(ms, what: str = "matrix") -> tuple[np.ndarray, np.ndarra
     NoConvergence
         if LAPACK fails to converge.
     """
-    return _eigh_sorted(require_hermitian_stack(ms, what=what))
-
-
-def hermitian_eig(m, what: str = "matrix") -> SpectralDecomposition:
-    """Eigensystem of one Hermitian matrix: the one-matrix case of hermitian_eig_stack."""
-    w, v = _eigh_sorted(require_hermitian(m, what=what)[None])
-    return SpectralDecomposition(w[0], v[0])
+    a = require_hermitian_stack(ms, what=what)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return sort_descending(w, v)

@@ -23,11 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AlphaOutOfRange, DimensionMismatch, NegativeSpectrum, TraceNotOne
-from .linalg import SpectralDecomposition, _adjoint, require_hermitian
+from .errors import (
+    AlphaOutOfRange,
+    DimensionMismatch,
+    InconsistentResult,
+    NegativeSpectrum,
+    TraceNotOne,
+)
+from .linalg import _adjoint, require_hermitian
 
 TRACE_TOL = 1e-10
-MEAN_IMAG_TOL = 1e-12
 # Values that are nonnegative in exact arithmetic may come out as tiny
 # negatives; anything in [-ROUNDOFF_FLOOR, 0) is reported as 0.
 ROUNDOFF_FLOOR = 1e-10
@@ -38,7 +43,7 @@ EIGENVALUE_DUST = 1e-14
 
 
 class Observable:
-    """A validated Hermitian matrix."""
+    """A validated Hermitian matrix, stored as its exactly Hermitian part."""
 
     __slots__ = ("matrix",)
 
@@ -51,24 +56,21 @@ class Observable:
 
 
 class DensityMatrix:
-    """A validated quantum state with cached spectral data.
+    """A validated quantum state: one row of a StateStack.
 
     Invariants checked at construction: Hermitian within 1e-10, all
-    eigenvalues >= -1e-10, trace within 1e-10 of 1.  The spectral
-    decomposition and the PSD square root are computed once and reused by
-    every functional.  A DensityMatrix is the one-row case of StateStack:
-    both constructors go through the stacked validation.
+    eigenvalues >= -1e-10, trace within 1e-10 of 1.  The fields are the
+    StateStack arrays of one row, under the same names: matrix (d, d),
+    eigenvalues (d,) sorted descending with solver dust pinned to 0,
+    eigenvectors (d, d) with eigenvectors[:, j] paired with
+    eigenvalues[j], and the PSD square root sqrt (d, d).  They are
+    computed once and reused by every functional.
     """
 
-    __slots__ = ("matrix", "spectral", "sqrt", "_weights")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "sqrt", "_weights")
 
     def __init__(self, matrix):
-        m = linalg.as_complex_matrix(matrix)
-        spectral = linalg.hermitian_eig(m, what="density matrix")
-        arrays = StateStack._derive(
-            m[None], spectral.eigenvalues[None], spectral.eigenvectors[None]
-        )
-        self._take_row(StateStack._trusted(*arrays), 0)
+        self._take_row(StateStack(linalg.as_complex_matrix(matrix)[None]), 0)
 
     @classmethod
     def from_spectral(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -84,7 +86,8 @@ class DensityMatrix:
 
     def _take_row(self, stack: "StateStack", i: int) -> None:
         self.matrix = stack.matrix[i]
-        self.spectral = SpectralDecomposition(stack.eigenvalues[i], stack.eigenvectors[i])
+        self.eigenvalues = stack.eigenvalues[i]
+        self.eigenvectors = stack.eigenvectors[i]
         self.sqrt = stack.sqrt[i]
         self._weights = None
 
@@ -241,17 +244,11 @@ def _real_floor(x: float) -> float:
     return 0.0 if -ROUNDOFF_FLOOR <= x < 0.0 else x
 
 
-def _real_part(t: complex, what: str) -> float:
-    if abs(t.imag) > MEAN_IMAG_TOL * max(1.0, abs(t)):
-        raise ArithmeticError(f"{what} came out complex: {t!r}")
-    return t.real
-
-
 def _center(rho: DensityMatrix, h) -> np.ndarray:
     """Subtract the mean: H0 = H - Tr[rho H] I."""
     m = _as_obs_matrix(h)
     _check_dims(rho, m)
-    mean = _real_part(_tr_product(rho.matrix, m), "expectation of a Hermitian observable")
+    mean = _tr_product(rho.matrix, m).real
     return m - mean * np.eye(rho.dim)
 
 
@@ -271,8 +268,8 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
     m = _as_obs_matrix(h)
     _check_dims(rho, m)
-    lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
-    v = rho.spectral.eigenvectors
+    lam = rho.eigenvalues  # dust-pinned, so already >= 0
+    v = rho.eigenvectors
     helems = v.conj().T @ m @ v
     pa = lam**alpha
     pb = lam ** (1.0 - alpha)
@@ -284,7 +281,7 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
 def matrix_elements(rho: DensityMatrix, h) -> np.ndarray:
     """h_ij = <phi_i| H0 |phi_j> in the eigenbasis of rho (a Hermitian array)."""
     h0 = _center(rho, h)
-    v = rho.spectral.eigenvectors
+    v = rho.eigenvectors
     return v.conj().T @ h0 @ v
 
 
@@ -306,7 +303,7 @@ def _eigenbasis_weights(rho: DensityMatrix):
     by every caller and must not be modified.
     """
     if rho._weights is None:
-        lam = rho.spectral.eigenvalues  # dust-pinned, so already >= 0
+        lam = rho.eigenvalues  # dust-pinned, so already >= 0
         n = len(lam)
         roots = np.sqrt(lam)
         minus_sq = np.subtract.outer(roots, roots) ** 2
@@ -327,7 +324,7 @@ def spectral_sums(rho: DensityMatrix, h) -> SpectralSums:
     return SpectralSums(
         skew_information=0.5 * float((minus_sq * abs_sq).sum()),
         j_lower_bound=0.5 * float((plus_sq * abs_sq).sum()),
-        j_diagonal_term=2.0 * float((rho.spectral.eigenvalues * diag**2).sum()),
+        j_diagonal_term=2.0 * float((rho.eigenvalues * diag**2).sum()),
     )
 
 
@@ -368,7 +365,7 @@ def _vij_stack(sqrt: np.ndarray, h0: np.ndarray, rho_h0: np.ndarray):
     j_ident = 2.0 * v_val - i_val
     bad = np.abs(j_val - j_ident) > 1e-10 * np.maximum(1.0, np.abs(j_ident))
     if np.count_nonzero(bad):
-        raise ArithmeticError(
+        raise InconsistentResult(
             f"J forms disagree: anticommutator {_first(j_val, bad)!r} "
             f"vs 2V - I {_first(j_ident, bad)!r}"
         )
@@ -382,21 +379,17 @@ def _report_kernel(rho: np.ndarray, sqrt: np.ndarray, a: np.ndarray, b: np.ndarr
 
     J = 2V - I and U = sqrt(I J) are recomputed from independent forms and
     must agree to within 1e-10 and 1e-9 (relative beyond magnitude 1) on
-    every row.  A and B go through every step together as one (2, N, d, d)
-    stack, and the products rho A, rho B, sqrt(rho) A0, sqrt(rho) B0 are
-    computed once and shared across every functional.  Each row is
-    computed from its own matrices only.
+    every row, or InconsistentResult is raised.  A and B go through every
+    step together as one (2, N, d, d) stack, and the products rho A,
+    rho B, sqrt(rho) A0, sqrt(rho) B0 are computed once and shared across
+    every functional.  Each row is computed from its own matrices only.
     """
     rho = np.ascontiguousarray(rho)
     sqrt = np.ascontiguousarray(sqrt)
     obs = np.array((a, b))  # a new C-ordered array, whatever the layout of a and b
     rho_obs = rho @ obs
-    tr = np.einsum("...ii->...", rho_obs)
-    bad = np.abs(tr.imag) > MEAN_IMAG_TOL * np.maximum(1.0, np.abs(tr))
-    if np.count_nonzero(bad):
-        name = "AB"[int(np.argmax(bad.any(axis=1)))]
-        raise ArithmeticError(f"mean of {name} came out complex: {_first(tr, bad)!r}")
-    means = tr.real
+    # Tr[rho H] of Hermitian rho and H is real up to roundoff
+    means = np.einsum("...ii->...", rho_obs).real
     shift = means[..., None, None]
     h0 = obs - shift * np.eye(rho.shape[-1])
     rho_h0 = rho_obs - shift * rho
@@ -406,7 +399,7 @@ def _report_kernel(rho: np.ndarray, sqrt: np.ndarray, a: np.ndarray, b: np.ndarr
     u_def = np.sqrt(np.maximum(i * (2.0 * v - i), 0.0))
     bad = np.abs(u - u_def) > 1e-9 * np.maximum(1.0, u_def)
     if np.count_nonzero(bad):
-        raise ArithmeticError(f"U forms disagree: {_first(u, bad)!r} vs {_first(u_def, bad)!r}")
+        raise InconsistentResult(f"U forms disagree: {_first(u, bad)!r} vs {_first(u_def, bad)!r}")
 
     # uncentered correlation, with sqrt(rho) A = sqrt(rho) A0 + mean sqrt(rho)
     sq = x + shift * sqrt

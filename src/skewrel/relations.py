@@ -141,7 +141,7 @@ def proof_chain(
         report = quantities.full_report(rho, a, b)
     aelem = quantities.matrix_elements(rho, a)
     belem = quantities.matrix_elements(rho, b)
-    lam = rho.spectral.eigenvalues
+    lam = rho.eigenvalues
     roots, minus_sq, plus_sq, offdiag, upper = quantities._eigenbasis_weights(rho)
 
     geo = np.multiply.outer(roots, roots)       # sqrt(l_i l_j)

@@ -95,6 +95,11 @@ def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def reconstruct(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Sum of eigenvalue * |v><v| over an eigensystem, i.e. the decomposed matrix."""
+    return (eigenvectors * eigenvalues) @ eigenvectors.conj().T
+
+
 def eigh_sqrt(rho: np.ndarray) -> np.ndarray:
     w, v = jacobi_eigh(rho)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewrel import cli, serialize
+from skewrel import cli, ensembles, serialize
 from skewrel.cli import main
 from skewrel.errors import ValidationError
 from skewrel.relations import RELATION_IDS
@@ -217,6 +218,66 @@ class TestNonFiniteResults:
         assert not out.exists()
 
 
+def run_quietly(argv, capsys):
+    """main(argv) with every warning recorded: (exit code, stdout, stderr lines, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines(), caught
+
+
+class TestValidatedInputs:
+    """Inputs that pass validation give a report or exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--chain"], ["check"]])
+    def test_observable_within_tolerance_is_used_as_its_hermitian_part(
+        self, tmp_path, capsys, argv
+    ):
+        # A's defect 8e-11 is within tolerance, and its Hermitian part is 0
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]])
+        a = np.array([[0.0, 4e-11j], [4e-11j, 0.0]])
+        path = write_problem(tmp_path / "a.json", rho, a, np.diag([1.0, -1.0]))
+        code, out, err, _ = run_quietly(argv + [path], capsys)
+        assert (code, err) == (0, [])
+        if argv[0] == "compute":
+            doc = json.loads(out)
+            assert doc["A"] == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+            assert doc["report"]["mean_A"] == 0.0 and doc["report"]["V_A"] == 0.0
+
+    def test_huge_mean_that_cancels_exits_2(self, tmp_path, capsys):
+        # the mean of A cancels to roundoff at 1e200; the chain used to
+        # reject it as complex
+        a = 1e200 * np.array([[1.0, 2.0], [2.0, -1.0]])
+        b = 1e200 * np.array([[0.0, 1j], [-1j, 2.0]])
+        path = write_problem(tmp_path / "b.json", HUGE_RHO, a, b)
+        for argv in (["compute"], ["compute", "--chain"]):
+            code, out, err, caught = run_quietly(argv + [path], capsys)
+            assert (code, out) == (2, "")
+            assert len(err) == 1 and err[0].startswith("validation error: report.V_A is not finite")
+            assert caught == []
+
+    def test_search_overflow_prints_one_line(self, capsys):
+        argv = [
+            "search", "--objective", "false_cov_variant", "--dim", "3", "--samples", "20",
+            "--top", "2", "--scale", "1e200",
+        ]
+        code, out, err, caught = run_quietly(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and "witnesses[0].objective_value is not finite" in err[0]
+        assert caught == []
+
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--chain"], ["check"]])
+    def test_disagreeing_j_forms_exit_2(self, tmp_path, capsys, argv):
+        rho = ensembles.random_density(ensembles.EnsembleSpec(dim=4, seed=1), 2)
+        k = ensembles.random_observable(4, 1.0, 3, 0).matrix
+        b = ensembles.random_observable(4, 1.0, 5, 0).matrix
+        path = write_problem(tmp_path / "c.json", rho.matrix, k + 1e7 * np.eye(4), b)
+        code, out, err, _ = run_quietly(argv + [path], capsys)
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and err[0].startswith("validation error: J forms disagree")
+
+
 class TestOutputIsJsonIndent2:
     """Every document the CLI writes is json.dumps(doc, indent=2) plus a newline."""
 
@@ -341,7 +402,7 @@ class TestSearch:
         assert doc["task"]["rank"] == 2
         for entry in doc["witnesses"]:
             rho, _, _, _ = serialize.problem_from_wire(entry)
-            assert np.count_nonzero(rho.spectral.eigenvalues > 1e-10) <= 2
+            assert np.count_nonzero(rho.eigenvalues > 1e-10) <= 2
 
     def test_rank_k_without_rank_exits_2(self, capsys):
         argv = ["search", "--objective", "false_cov_variant", "--dim", "3", "--state-kind", "rank_k"]

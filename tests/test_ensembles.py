@@ -29,7 +29,7 @@ class TestRandomDensity:
     def test_pure_eigenvalues(self):
         rho = random_density(EnsembleSpec(dim=2, kind="pure", seed=5))
         np.testing.assert_allclose(
-            rho.spectral.eigenvalues, [1.0, 0.0], atol=1e-12
+            rho.eigenvalues, [1.0, 0.0], atol=1e-12
         )
 
     def test_pure_is_projector(self):
@@ -46,15 +46,15 @@ class TestRandomDensity:
             EnsembleSpec(dim=3, kind="ginibre_mixed", purity_blend=0.5, seed=11)
         )
         np.testing.assert_allclose(
-            mixed.spectral.eigenvalues,
-            0.5 * plain.spectral.eigenvalues + 0.5 / 3.0,
+            mixed.eigenvalues,
+            0.5 * plain.eigenvalues + 0.5 / 3.0,
             atol=1e-12,
         )
 
     def test_rank_k_has_expected_kernel(self):
         for seed in range(20):
             rho = random_density(EnsembleSpec(dim=3, kind="rank_k", rank=2, seed=seed))
-            small = np.sum(rho.spectral.eigenvalues <= 1e-12)
+            small = np.sum(rho.eigenvalues <= 1e-12)
             assert small == 1
 
     def test_diagonal_kind_is_diagonal(self):
@@ -65,7 +65,7 @@ class TestRandomDensity:
     def test_degenerate_spectrum(self):
         rho = random_density(EnsembleSpec(dim=5, kind="degenerate_spectrum", seed=17))
         np.testing.assert_allclose(
-            rho.spectral.eigenvalues, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-12
+            rho.eigenvalues, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-12
         )
         # genuinely rotated: not diagonal in the standard basis
         assert np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix))).max() > 1e-3
@@ -89,8 +89,8 @@ class TestRandomDensity:
             spec = EnsembleSpec(dim=4, kind=kind, rank=rank, seed=29)
             rho = random_density(spec, sample_index=idx)
             assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-14
-            assert rho.spectral.eigenvalues.min() >= -1e-12
-            assert abs(rho.spectral.eigenvalues.sum() - 1.0) <= 1e-12
+            assert rho.eigenvalues.min() >= -1e-12
+            assert abs(rho.eigenvalues.sum() - 1.0) <= 1e-12
 
     def test_bad_specs_rejected(self):
         with pytest.raises(BadSpec):

@@ -3,49 +3,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewrel import linalg
+from skewrel import counterexamples, ensembles, linalg, search
 from skewrel.errors import DimensionMismatch, NoConvergence, NotHermitian
+from skewrel.quantities import Observable
 
 import oracles
 
 SQ2 = np.sqrt(2.0)
 
 
+def _eig(m):
+    """(eigenvalues, eigenvectors) of one matrix: the one-row case of hermitian_eig_stack."""
+    w, v = linalg.hermitian_eig_stack(np.asarray(m)[None])
+    return w[0], v[0]
+
+
 def test_eig_diagonal_is_sorted_descending():
-    s = linalg.hermitian_eig(np.diag([0.25, 0.75]))
-    np.testing.assert_allclose(s.eigenvalues, [0.75, 0.25], atol=1e-14)
+    w, v = _eig(np.diag([0.25, 0.75]))
+    np.testing.assert_allclose(w, [0.75, 0.25], atol=1e-14)
     # eigenvector of the larger eigenvalue is e2, of the smaller e1
-    np.testing.assert_allclose(s.eigenvectors[:, 0], [0.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(s.eigenvectors[:, 1], [1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(v[:, 0], [0.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(v[:, 1], [1.0, 0.0], atol=1e-14)
 
 
 def test_eig_symmetric_2x2_hand_solved():
     # characteristic polynomial of [[.5,.4],[.4,.5]]: roots .5 +/- .4
     m = np.array([[0.5, 0.4], [0.4, 0.5]])
-    s = linalg.hermitian_eig(m)
-    np.testing.assert_allclose(s.eigenvalues, [0.9, 0.1], atol=1e-12)
-    np.testing.assert_allclose(s.eigenvectors[:, 0], [1 / SQ2, 1 / SQ2], atol=1e-12)
-    np.testing.assert_allclose(s.eigenvectors[:, 1], [1 / SQ2, -1 / SQ2], atol=1e-12)
+    w, v = _eig(m)
+    np.testing.assert_allclose(w, [0.9, 0.1], atol=1e-12)
+    np.testing.assert_allclose(v[:, 0], [1 / SQ2, 1 / SQ2], atol=1e-12)
+    np.testing.assert_allclose(v[:, 1], [1 / SQ2, -1 / SQ2], atol=1e-12)
 
 
 def test_eig_identity_reconstructs():
-    s = linalg.hermitian_eig(np.eye(5))
-    np.testing.assert_allclose(s.eigenvalues, np.ones(5))
-    np.testing.assert_allclose(s.reconstruct(), np.eye(5), atol=1e-10)
+    w, v = _eig(np.eye(5))
+    np.testing.assert_allclose(w, np.ones(5))
+    np.testing.assert_allclose(oracles.reconstruct(w, v), np.eye(5), atol=1e-10)
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_rejects_non_square_and_nan():
     with pytest.raises(DimensionMismatch):
-        linalg.hermitian_eig(np.zeros((2, 3)))
+        _eig(np.zeros((2, 3)))
     bad = np.eye(2, dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(DimensionMismatch):
-        linalg.hermitian_eig(bad)
+        _eig(bad)
 
 
 def test_eig_reconstruction_and_orthonormality_bulk():
@@ -55,27 +62,77 @@ def test_eig_reconstruction_and_orthonormality_bulk():
     for n in range(2, 9):
         for _ in range(1000):
             m = oracles.random_hermitian(n, rng)
-            s = linalg.hermitian_eig(m)
+            w, v = _eig(m)
             scale = max(1.0, np.linalg.norm(m))
-            assert np.linalg.norm(s.reconstruct() - m) <= 1e-10 * scale
-            gram = s.eigenvectors.conj().T @ s.eigenvectors
+            assert np.linalg.norm(oracles.reconstruct(w, v) - m) <= 1e-10 * scale
+            gram = v.conj().T @ v
             assert np.abs(gram - np.eye(n)).max() <= 1e-10
-            assert (np.diff(s.eigenvalues) <= 1e-12).all()
+            assert (np.diff(w) <= 1e-12).all()
             np.testing.assert_allclose(
-                s.eigenvalues, np.sort(np.linalg.eigvalsh(m))[::-1], atol=1e-10 * scale
+                w, np.sort(np.linalg.eigvalsh(m))[::-1], atol=1e-10 * scale
             )
 
 
 def test_eig_phase_convention_deterministic():
     rng = np.random.default_rng(3)
     m = oracles.random_hermitian(4, rng)
-    s1 = linalg.hermitian_eig(m)
-    s2 = linalg.hermitian_eig(m.copy())
-    np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
+    _, v1 = _eig(m)
+    _, v2 = _eig(m.copy())
+    np.testing.assert_array_equal(v1, v2)
     for j in range(4):
-        col = s1.eigenvectors[:, j]
+        col = v1[:, j]
         pivot = col[int(np.argmax(np.abs(col)))]
         assert pivot.real > 0 and abs(pivot.imag) <= 1e-12
+
+
+# Validation keeps exactly Hermitian input as it is and stores input within
+# tolerance as its Hermitian part, so every validated matrix is exactly
+# Hermitian.
+
+
+def _exactly_hermitian_stacks():
+    """Random observables, built-in triples and refine-perturbed matrices."""
+    for d in range(2, 17):
+        yield ensembles.random_observable_stack(d, 1.0, 40 + d, range(4))
+        yield ensembles.random_observable_stack(d, 1e3, 60 + d, range(4))
+    for make in counterexamples.BUILTIN_TRIPLES.values():
+        rho, a, b = make()
+        yield np.stack([rho.matrix, a.matrix, b.matrix])
+    rng = np.random.default_rng(19)
+    for d in (2, 3, 8):
+        count = 64
+        trial = np.stack(
+            [ensembles.random_observable_stack(d, 1.0, 80 + k, range(count)) for k in range(3)]
+        )
+        for _ in range(5):
+            i = rng.integers(0, d, count)
+            j = rng.integers(0, d, count)
+            search._perturb_rows(
+                trial, rng.integers(0, 3, count), i, j, rng.standard_normal(count)
+            )
+        yield trial.reshape(-1, d, d)
+
+
+def test_exactly_hermitian_input_is_kept_bitwise():
+    for ms in _exactly_hermitian_stacks():
+        assert linalg.hermiticity_defect(ms) == 0.0
+        assert linalg.require_hermitian_stack(ms).tobytes() == ms.tobytes()
+        for m in ms:
+            assert Observable(m).matrix.tobytes() == m.tobytes()
+
+
+def test_input_within_tolerance_is_stored_as_hermitian_part():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 8, 16):
+        ms = np.stack([oracles.random_hermitian(d, rng) for _ in range(5)])
+        ms = ms + 5e-12 * (rng.standard_normal(ms.shape) + 1j * rng.standard_normal(ms.shape))
+        assert 0.0 < linalg.hermiticity_defect(ms) <= linalg.HERMITIAN_TOL
+        part = (ms + ms.swapaxes(-1, -2).conj()) / 2.0
+        out = linalg.require_hermitian_stack(ms)
+        assert out.tobytes() == part.tobytes()
+        assert linalg.hermiticity_defect(out) == 0.0
+        for m, h in zip(ms, part):
+            assert Observable(m).matrix.tobytes() == h.tobytes()
 
 
 # The fractional powers of the I_alpha trace-form oracle.
@@ -161,18 +218,18 @@ def test_eig_matches_jacobi_oracle(n):
     for _ in range(10):
         for case, m in _oracle_cases(n, rng):
             scale = max(1.0, np.linalg.norm(m))
-            s = linalg.hermitian_eig(m)
+            w, v = _eig(m)
             w_ref, v_ref = oracles.jacobi_eigh(m)
             w_ref, v_ref = w_ref[::-1], v_ref[:, ::-1]
-            np.testing.assert_allclose(s.eigenvalues, w_ref, atol=1e-10 * scale, err_msg=case)
-            ours = _eigenspace_projectors(s.eigenvalues, s.eigenvectors, 1e-8 * scale)
+            np.testing.assert_allclose(w, w_ref, atol=1e-10 * scale, err_msg=case)
+            ours = _eigenspace_projectors(w, v, 1e-8 * scale)
             ref = _eigenspace_projectors(w_ref, v_ref, 1e-8 * scale)
             assert len(ours) == len(ref), case
             for (lam, p), (lam_ref, p_ref) in zip(ours, ref):
                 assert abs(lam - lam_ref) <= 1e-10 * scale, case
                 assert np.abs(p - p_ref).max() <= 1e-9, case
-            assert np.linalg.norm(s.reconstruct() - m) <= 1e-10 * scale, case
-            gram = s.eigenvectors.conj().T @ s.eigenvectors
+            assert np.linalg.norm(oracles.reconstruct(w, v) - m) <= 1e-10 * scale, case
+            gram = v.conj().T @ v
             assert np.abs(gram - np.eye(n)).max() <= 1e-10, case
 
 
@@ -183,9 +240,9 @@ def test_eig_stack_rows_equal_one_matrix_case():
         w, v = linalg.hermitian_eig_stack(ms)
         assert w.shape == (6, n) and v.shape == (6, n, n)
         for k in range(6):
-            s = linalg.hermitian_eig(ms[k])
-            assert s.eigenvalues.tobytes() == w[k].tobytes()
-            assert s.eigenvectors.tobytes() == v[k].tobytes()
+            wk, vk = _eig(ms[k])
+            assert wk.tobytes() == w[k].tobytes()
+            assert vk.tobytes() == v[k].tobytes()
 
 
 def test_eig_stack_validates_every_row():
@@ -202,7 +259,7 @@ def test_eig_lapack_failure_is_no_convergence(monkeypatch):
 
     monkeypatch.setattr(linalg.np.linalg, "eigh", failing_eigh)
     with pytest.raises(NoConvergence):
-        linalg.hermitian_eig(np.eye(2))
+        _eig(np.eye(2))
 
 
 @st.composite
@@ -218,7 +275,7 @@ def hermitian_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(hermitian_matrices())
 def test_eig_invariants_hypothesis(m):
-    s = linalg.hermitian_eig(m)
+    w, v = _eig(m)
     scale = max(1.0, np.linalg.norm(m))
-    assert np.linalg.norm(s.reconstruct() - m) <= 1e-10 * scale
-    assert np.abs(s.eigenvectors.conj().T @ s.eigenvectors - np.eye(len(m))).max() <= 1e-10
+    assert np.linalg.norm(oracles.reconstruct(w, v) - m) <= 1e-10 * scale
+    assert np.abs(v.conj().T @ v - np.eye(len(m))).max() <= 1e-10

@@ -13,6 +13,7 @@ from skewrel.counterexamples import (
 from skewrel.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
+    InconsistentResult,
     NegativeSpectrum,
     NotHermitian,
     TraceNotOne,
@@ -47,7 +48,7 @@ def report(rho, h):
 
 def centered(rho, h) -> np.ndarray:
     """H0 = H - <H> I, back from its eigenbasis matrix elements."""
-    v = rho.spectral.eigenvectors
+    v = rho.eigenvectors
     return v @ q.matrix_elements(rho, h) @ v.conj().T
 
 
@@ -88,7 +89,7 @@ class TestValidation:
         m = oracles.random_state(4, rng)
         direct = DensityMatrix(m)
         via_spec = DensityMatrix.from_spectral(
-            direct.spectral.eigenvalues, direct.spectral.eigenvectors
+            direct.eigenvalues, direct.eigenvectors
         )
         assert np.linalg.norm(via_spec.matrix - direct.matrix) <= 1e-12
         assert np.linalg.norm(via_spec.sqrt - direct.sqrt) <= 1e-12
@@ -143,7 +144,34 @@ class TestStateStackValidation:
         for i, m in enumerate(ms):
             rho = DensityMatrix(m)
             np.testing.assert_array_equal(stack.state(i).sqrt, rho.sqrt)
-            np.testing.assert_array_equal(stack.eigenvalues[i], rho.spectral.eigenvalues)
+            np.testing.assert_array_equal(stack.eigenvalues[i], rho.eigenvalues)
+
+    FIELDS = ("matrix", "eigenvalues", "eigenvectors", "sqrt")
+
+    def assert_is_row_0(self, rho, stack):
+        for field in self.FIELDS:
+            got, row = getattr(rho, field), getattr(stack, field)[0]
+            assert got.dtype == row.dtype and got.shape == row.shape, field
+            assert got.tobytes() == row.tobytes(), field
+
+    def test_density_matrix_is_row_0_of_its_stack(self):
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4, 8, 16):
+            m = oracles.random_state(d, rng)
+            self.assert_is_row_0(DensityMatrix(m), StateStack(m[None]))
+            for kind in ensembles.KINDS:
+                spec = ensembles.EnsembleSpec(dim=d, seed=d, kind=kind, rank=1)
+                rho = ensembles.random_density(spec, 3)
+                self.assert_is_row_0(DensityMatrix(rho.matrix), StateStack(rho.matrix[None]))
+
+    def test_from_spectral_is_row_0_of_its_stack(self):
+        rng = np.random.default_rng(31)
+        for d in (2, 3, 8):
+            direct = DensityMatrix(oracles.random_state(d, rng))
+            w, v = direct.eigenvalues[::-1], direct.eigenvectors[:, ::-1]
+            self.assert_is_row_0(
+                DensityMatrix.from_spectral(w, v), StateStack.from_spectral(w[None], v[None])
+            )
 
     def test_dust_is_pinned(self):
         stack = StateStack(np.diag([1.0, 1e-16, 0.0])[None])
@@ -501,6 +529,16 @@ class TestFullReport:
         assert rep.i_a == pytest.approx(rep.v_a, abs=1e-9)
         assert rep.u_a == pytest.approx(rep.v_a, abs=1e-9)
         assert rep.corr == pytest.approx(rep.cov, abs=1e-9)
+
+    def test_disagreeing_j_forms_raise_a_validation_error(self):
+        # an offset far above |K| makes the centered forms of J differ by
+        # about eps * offset * |K|, beyond the cross-check tolerance
+        rho = ensembles.random_density(ensembles.EnsembleSpec(dim=4, seed=1), 2)
+        k = ensembles.random_observable(4, 1.0, 3, 0).matrix
+        b = ensembles.random_observable(4, 1.0, 5, 0)
+        q.full_report(rho, k + 1e6 * np.eye(4), b)
+        with pytest.raises(InconsistentResult, match="J forms disagree"):
+            q.full_report(rho, k + 1e7 * np.eye(4), b)
 
     def test_report_fields_match_oracle(self, re_triple):
         triples = [re_triple, *random_triples(20, (2, 3, 4, 6), seed=109)]
