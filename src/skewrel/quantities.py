@@ -12,8 +12,9 @@ For a density matrix rho and Hermitian H (centered as H0 = H - <H> I):
 
 plus the one-parameter family I_alpha(H), computed in the eigenbasis of
 rho, and the eigenbasis (spectral) forms of I and the J lower bound used
-for cross-checks.  full_report evaluates every functional of
-one triple and full_report_stack of N triples, through one kernel.
+for cross-checks.  Each is built from the H0 of one helper, _centered,
+so H + c I gives the values of H.  full_report evaluates every functional
+of one triple and full_report_stack of N triples, through one kernel.
 """
 
 from __future__ import annotations
@@ -221,35 +222,43 @@ class UncertaintyReport:
     commutator_avg: complex
 
 
-def _as_obs_matrix(h) -> np.ndarray:
-    if isinstance(h, Observable):
-        return h.matrix
-    return require_hermitian(h, what="observable")
-
-
-def _check_dims(rho: DensityMatrix, *mats: np.ndarray) -> None:
+def _observables(rho: DensityMatrix, *hs) -> list[np.ndarray]:
+    """The validated matrices of the observables ``hs``, each of rho's shape."""
+    mats = [
+        h.matrix if isinstance(h, Observable) else require_hermitian(h, what="observable")
+        for h in hs
+    ]
     for m in mats:
         if m.shape != rho.matrix.shape:
             raise DimensionMismatch(
                 f"state dim {rho.matrix.shape[0]} vs observable shape {m.shape}"
             )
-
-
-def _tr_product(x: np.ndarray, y: np.ndarray) -> complex:
-    # Tr[X Y] without forming the product matrix.
-    return complex(np.dot(x.ravel(), y.T.ravel()))
+    return mats
 
 
 def _real_floor(x: float) -> float:
     return 0.0 if -ROUNDOFF_FLOOR <= x < 0.0 else x
 
 
-def _center(rho: DensityMatrix, h) -> np.ndarray:
-    """Subtract the mean: H0 = H - Tr[rho H] I."""
-    m = _as_obs_matrix(h)
-    _check_dims(rho, m)
-    mean = _tr_product(rho.matrix, m).real
-    return m - mean * np.eye(rho.dim)
+def _centered(rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
+    """Means Tr[rho H] and centered H0 = H - Tr[rho H] I (a new array) of ``obs``.
+
+    Tr[rho H] = sum_ij conj(rho_ij) H_ij for an exactly Hermitian rho, and
+    vecdot sums each row on its own, so a mean does not depend on its stack.
+    """
+    h0 = np.array(obs)
+    d = h0.shape[-1]
+    flat = h0.reshape(h0.shape[:-2] + (d * d,))
+    means = np.vecdot(rho.reshape(rho.shape[:-2] + (d * d,)), flat).real
+    flat[..., :: d + 1] -= means[..., None]
+    return means, h0
+
+
+def _eigenbasis_elements(rho: DensityMatrix, *hs) -> np.ndarray:
+    """h_ij = <phi_i| H0 |phi_j> of every observable in ``hs``, as one (k, d, d) rotation."""
+    _, h0 = _centered(rho.matrix, _observables(rho, *hs))
+    v = rho.eigenvectors
+    return _adjoint(v) @ h0 @ v
 
 
 def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
@@ -257,32 +266,26 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
 
     Evaluated in the eigenbasis of rho as
     (1/2) sum_ij (l_i^a - l_j^a)(l_i^(1-a) - l_j^(1-a)) |h_ij|^2 with
-    h = V^dagger H V; the weight vanishes on the diagonal, so H need not
-    be centered.  Only the open interval 0 < alpha < 1 is accepted: at
-    the endpoints rho^0 would be rank-dependent, so the request is
-    rejected rather than silently computed.  Symmetric under
-    alpha <-> 1 - alpha and equal to the skew information I (full_report's
-    i_a, i_b) at alpha = 1/2.
+    h = V^dagger H0 V: the weight vanishes on the diagonal, so centering
+    changes no exact value, but H + c I loses no precision.  Only the
+    open interval 0 < alpha < 1 is accepted: at the endpoints rho^0 would
+    be rank-dependent, so the request is rejected rather than silently
+    computed.  Symmetric under alpha <-> 1 - alpha and equal to the skew
+    information I (full_report's i_a, i_b) at alpha = 1/2.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
-    m = _as_obs_matrix(h)
-    _check_dims(rho, m)
+    helems = _eigenbasis_elements(rho, h)[0]
     lam = rho.eigenvalues  # dust-pinned, so already >= 0
-    v = rho.eigenvectors
-    helems = v.conj().T @ m @ v
     pa = lam**alpha
     pb = lam ** (1.0 - alpha)
     weight = np.subtract.outer(pa, pa) * np.subtract.outer(pb, pb)
-    val = 0.5 * float((weight * (helems.real**2 + helems.imag**2)).sum())
-    return _real_floor(val)
+    return _real_floor(0.5 * float(np.vdot(weight, (helems * helems.conj()).real)))
 
 
 def matrix_elements(rho: DensityMatrix, h) -> np.ndarray:
     """h_ij = <phi_i| H0 |phi_j> in the eigenbasis of rho (a Hermitian array)."""
-    h0 = _center(rho, h)
-    v = rho.eigenvectors
-    return v.conj().T @ h0 @ v
+    return _eigenbasis_elements(rho, h)[0]
 
 
 @dataclass(frozen=True)
@@ -380,19 +383,15 @@ def _report_kernel(rho: np.ndarray, sqrt: np.ndarray, a: np.ndarray, b: np.ndarr
     J = 2V - I and U = sqrt(I J) are recomputed from independent forms and
     must agree to within 1e-10 and 1e-9 (relative beyond magnitude 1) on
     every row, or InconsistentResult is raised.  A and B go through every
-    step together as one (2, N, d, d) stack, and the products rho A,
-    rho B, sqrt(rho) A0, sqrt(rho) B0 are computed once and shared across
-    every functional.  Each row is computed from its own matrices only.
+    step together as one (2, N, d, d) stack of centered observables H0,
+    and the products rho H0 and X = sqrt(rho) H0 are computed once and
+    shared by V, Cov, I, J, Corr and the commutator term, so no functional
+    sees the means again.  Each row is computed from its own matrices only.
     """
     rho = np.ascontiguousarray(rho)
     sqrt = np.ascontiguousarray(sqrt)
-    obs = np.array((a, b))  # a new C-ordered array, whatever the layout of a and b
-    rho_obs = rho @ obs
-    # Tr[rho H] of Hermitian rho and H is real up to roundoff
-    means = np.einsum("...ii->...", rho_obs).real
-    shift = means[..., None, None]
-    h0 = obs - shift * np.eye(rho.shape[-1])
-    rho_h0 = rho_obs - shift * rho
+    means, h0 = _centered(rho, (a, b))
+    rho_h0 = rho @ h0
     v, i, j, x = _vij_stack(sqrt, h0, rho_h0)
     u = np.sqrt(np.maximum(i * j, 0.0))
     # V^2 - (V - I)^2 = I (2V - I)
@@ -401,23 +400,14 @@ def _report_kernel(rho: np.ndarray, sqrt: np.ndarray, a: np.ndarray, b: np.ndarr
     if np.count_nonzero(bad):
         raise InconsistentResult(f"U forms disagree: {_first(u, bad)!r} vs {_first(u_def, bad)!r}")
 
-    # uncentered correlation, with sqrt(rho) A = sqrt(rho) A0 + mean sqrt(rho)
-    sq = x + shift * sqrt
-    t_ab = _tr_products(rho_obs[0], obs[1])
+    cov = _tr_products(rho_h0[0], h0[1])
     return (
-        means[0],
-        means[1],
-        v[0],
-        v[1],
-        i[0],
-        i[1],
-        j[0],
-        j[1],
-        u[0],
-        u[1],
-        _tr_products(rho_h0[0], h0[1]),
-        t_ab - _tr_products(sq[0], sq[1]),
-        t_ab - _tr_products(rho_obs[1], obs[0]),
+        *means, *v, *i, *j, *u,
+        cov,
+        # Corr = Tr[rho A0 B0] - Tr[sqrt(rho) A0 sqrt(rho) B0]
+        cov - _tr_products(x[0], x[1]),
+        # Tr[rho B0 A0] = conj(Cov), so the real part is exactly +0.0
+        cov - cov.conj(),
     )
 
 
@@ -439,8 +429,6 @@ def full_report_stack(states: StateStack, a, b) -> UncertaintyReport:
 
 def full_report(rho: DensityMatrix, a, b) -> UncertaintyReport:
     """All functionals of one triple: the one-row case of full_report_stack."""
-    ma = _as_obs_matrix(a)
-    mb = _as_obs_matrix(b)
-    _check_dims(rho, ma, mb)
+    ma, mb = _observables(rho, a, b)
     fields = _report_kernel(rho.matrix[None], rho.sqrt[None], ma[None], mb[None])
     return UncertaintyReport(*(f.item() for f in fields))

@@ -139,8 +139,7 @@ def proof_chain(
     """
     if report is None:
         report = quantities.full_report(rho, a, b)
-    aelem = quantities.matrix_elements(rho, a)
-    belem = quantities.matrix_elements(rho, b)
+    aelem, belem = quantities._eigenbasis_elements(rho, a, b)
     lam = rho.eigenvalues
     roots, minus_sq, plus_sq, offdiag, upper = quantities._eigenbasis_weights(rho)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import counterexamples, ensembles, linalg, quantities, relations
 from .ensembles import EnsembleSpec
-from .errors import BadSpec
+from .errors import BadSpec, NonFiniteResult
 from .quantities import DensityMatrix, Observable, StateStack
 
 OBJECTIVES = (
@@ -128,12 +128,12 @@ def _candidates(
     return states, a, b
 
 
-def evaluate_all(task: SearchTask, workers: int = 1) -> np.ndarray:
+def evaluate_all(task: SearchTask) -> np.ndarray:
     """Objective value of every candidate, indexed by sample.
 
     Samples are scored in stacks of a fixed size; each value depends on
-    its own sample only.  ``workers`` is accepted for compatibility and
-    changes neither the values nor the speed.
+    its own sample only.  A NaN or infinite value cannot be ranked, so it
+    raises NonFiniteResult, naming the first such sample.
     """
     rows = max(1, _CHUNK_ENTRIES // (task.dim * task.dim))
     out = np.empty(task.samples)
@@ -141,7 +141,14 @@ def evaluate_all(task: SearchTask, workers: int = 1) -> np.ndarray:
         indices = np.arange(start, min(start + rows, task.samples))
         states, a, b = _candidates(task, indices)
         report = quantities.full_report_stack(states, a, b)
-        out[indices] = objective_from_report(task.objective, report)
+        values = objective_from_report(task.objective, report)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteResult(
+                f"search sample {indices[bad[0]]}: {task.objective} is not finite "
+                f"({float(values[bad[0]])!r})"
+            )
+        out[indices] = values
     return out
 
 
@@ -169,7 +176,7 @@ def run_search(task: SearchTask, workers: int = 1) -> list[Witness]:
     for compatibility; the result is the same for every value.
     """
     task.validate()
-    values = evaluate_all(task, workers=workers)
+    values = evaluate_all(task)
 
     if task.objective == "sign_witnesses_lhs_difference":
         picks = [int(np.argmin(values)), int(np.argmax(values))]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewrel import cli, ensembles, serialize
+from skewrel import cli, ensembles, quantities, serialize
 from skewrel.cli import main
-from skewrel.errors import ValidationError
+from skewrel.errors import InconsistentResult, ValidationError
 from skewrel.relations import RELATION_IDS
 from skewrel.counterexamples import cov_variant_triple, re_ordering_triple
 
@@ -139,7 +139,9 @@ class TestCheck:
     def test_re_ordering_exits_3(self, re_ordering_file, capsys):
         code = main(["check", re_ordering_file, "--relations", "false_re_ordering"])
         assert code == 3
-        assert "-0.1539" in capsys.readouterr().out
+        header, row = capsys.readouterr().out.splitlines()
+        gap = float(row.split()[header.split().index("gap")])
+        assert abs(gap + 0.1539) <= 1e-12  # 0.81^2 - 0.9^2
 
     def test_theorems_exit_0(self, cov_variant_file, capsys):
         assert main(["check", cov_variant_file, "--relations", "schrodinger_wy"]) == 0
@@ -214,7 +216,23 @@ class TestNonFiniteResults:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
         assert main(argv + ["--out", str(out)]) == 2
-        assert "witnesses[0].objective_value is not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "search sample 0: min_gap_false_cov_variant is not finite" in err
+        assert not out.exists()
+
+    def test_search_refuses_a_non_finite_sample(self, tmp_path, capsys):
+        # the built-in scale-1 triples stay finite; every drawn sample
+        # overflows, and none of them may be ranked out of sight
+        out = tmp_path / "w.json"
+        argv = [
+            "search", "--objective", "false_cov_variant", "--dim", "2", "--samples", "200",
+            "--scale", "1e100", "--refine", "--top", "2", "--out", str(out),
+        ]
+        code, stdout, err, caught = run_quietly(argv, capsys)
+        assert (code, stdout, caught) == (2, "", [])
+        assert err == [
+            "validation error: search sample 2: min_gap_false_cov_variant is not finite (nan)"
+        ]
         assert not out.exists()
 
 
@@ -264,18 +282,34 @@ class TestValidatedInputs:
         ]
         code, out, err, caught = run_quietly(argv, capsys)
         assert (code, out) == (2, "")
-        assert len(err) == 1 and "witnesses[0].objective_value is not finite" in err[0]
+        assert len(err) == 1
+        assert "search sample 0: min_gap_false_cov_variant is not finite" in err[0]
         assert caught == []
 
     @pytest.mark.parametrize("argv", [["compute"], ["compute", "--chain"], ["check"]])
-    def test_disagreeing_j_forms_exit_2(self, tmp_path, capsys, argv):
+    def test_disagreeing_j_forms_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        def disagree(*args):
+            raise InconsistentResult("J forms disagree: anticommutator 1.0 vs 2V - I 2.0")
+
+        monkeypatch.setattr(quantities, "_report_kernel", disagree)
+        rho, a, b = cov_variant_triple()
+        path = write_problem(tmp_path / "c.json", rho.matrix, a.matrix, b.matrix)
+        code, out, err, caught = run_quietly(argv + [path], capsys)
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and err[0].startswith("validation error: J forms disagree")
+        assert caught == []
+
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--chain"], ["check"]])
+    def test_identity_offset_exits_0(self, tmp_path, capsys, argv):
+        # A = K + c I with c far above |K|: every functional is built from
+        # A's centered part, so the J and U cross-checks agree
         rho = ensembles.random_density(ensembles.EnsembleSpec(dim=4, seed=1), 2)
         k = ensembles.random_observable(4, 1.0, 3, 0).matrix
         b = ensembles.random_observable(4, 1.0, 5, 0).matrix
-        path = write_problem(tmp_path / "c.json", rho.matrix, k + 1e7 * np.eye(4), b)
-        code, out, err, _ = run_quietly(argv + [path], capsys)
-        assert (code, out) == (2, "")
-        assert len(err) == 1 and err[0].startswith("validation error: J forms disagree")
+        for c in (1e7, 1e8, 1e10):
+            path = write_problem(tmp_path / "c.json", rho.matrix, k + c * np.eye(4), b)
+            code, out, err, caught = run_quietly(argv + [path], capsys)
+            assert (code, err, caught) == (0, [], []), c
 
 
 class TestOutputIsJsonIndent2:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from skewrel.errors import (
     NegativeSpectrum,
     NotHermitian,
     TraceNotOne,
+    ValidationError,
 )
 from skewrel.quantities import DensityMatrix, Observable, StateStack
 
@@ -50,6 +52,17 @@ def centered(rho, h) -> np.ndarray:
     """H0 = H - <H> I, back from its eigenbasis matrix elements."""
     v = rho.eigenvectors
     return v @ q.matrix_elements(rho, h) @ v.conj().T
+
+
+def offset_triple():
+    """(rho, K, B) at d=4; K + c I with c far above |K| tests identity offsets."""
+    rho = ensembles.random_density(ensembles.EnsembleSpec(dim=4, seed=1), 2)
+    k = ensembles.random_observable(4, 1.0, 3, 0).matrix
+    b = ensembles.random_observable(4, 1.0, 5, 0)
+    return rho, k, b
+
+
+REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(q.UncertaintyReport))
 
 
 def random_triples(count, dims, seed, scale=1.0):
@@ -309,6 +322,13 @@ class TestWydSkewInformation:
                 q.wyd_skew_information(rho, shifted, 0.2), abs=1e-10
             )
 
+    @pytest.mark.parametrize("c", [1e6, 1e8, 1e10])
+    def test_half_order_is_wy_under_identity_offset(self, c):
+        rho, k, b = offset_triple()
+        a = k + c * np.eye(4)
+        i_a = q.full_report(rho, a, b).i_a
+        assert abs(q.wyd_skew_information(rho, a, 0.5) - i_a) <= 1e-12 * i_a
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.7])
     def test_rejects_endpoint_orders(self, alpha, cov_triple):
         rho, a, _ = cov_triple
@@ -530,15 +550,45 @@ class TestFullReport:
         assert rep.u_a == pytest.approx(rep.v_a, abs=1e-9)
         assert rep.corr == pytest.approx(rep.cov, abs=1e-9)
 
-    def test_disagreeing_j_forms_raise_a_validation_error(self):
-        # an offset far above |K| makes the centered forms of J differ by
-        # about eps * offset * |K|, beyond the cross-check tolerance
-        rho = ensembles.random_density(ensembles.EnsembleSpec(dim=4, seed=1), 2)
-        k = ensembles.random_observable(4, 1.0, 3, 0).matrix
-        b = ensembles.random_observable(4, 1.0, 5, 0)
-        q.full_report(rho, k + 1e6 * np.eye(4), b)
-        with pytest.raises(InconsistentResult, match="J forms disagree"):
-            q.full_report(rho, k + 1e7 * np.eye(4), b)
+    def test_disagreeing_j_forms_raise_a_validation_error(self, monkeypatch):
+        # the J cross-check still refuses a kernel whose two forms disagree
+        rho, k, b = offset_triple()
+        sq_norms = q._sq_norms
+        monkeypatch.setattr(q, "_sq_norms", lambda x: sq_norms(x) + 1.0)
+        with pytest.raises(InconsistentResult, match="J forms disagree") as info:
+            q.full_report(rho, k, b)
+        assert isinstance(info.value, ValidationError)
+
+    def test_identity_offset_changes_no_field(self):
+        # every functional is built from H0, so K + c I reports the values
+        # of K (bar the mean) up to the roundoff of the mean, eps * c
+        rho, k, b = offset_triple()
+        base = q.full_report(rho, k, b)
+        for c in (1e6, 1e8, 1e10):
+            shifted = q.full_report(rho, k + c * np.eye(4), b)
+            for field in REPORT_FIELDS[2:]:
+                ref = getattr(base, field)
+                assert abs(getattr(shifted, field) - ref) <= 1e-15 * c * abs(ref), (c, field)
+
+    @pytest.mark.parametrize("kind", ensembles.KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_rows_do_not_depend_on_stack_size(self, kind, d):
+        spec = ensembles.EnsembleSpec(dim=d, seed=d, kind=kind, rank=d - 1)
+        indices = np.arange(64)
+        states = ensembles.random_density_stack(spec, indices)
+        a = ensembles.random_observable_stack(d, 1.0, 3, indices)
+        b = ensembles.random_observable_stack(d, 1.0, 5, indices)
+        full = q.full_report_stack(states, a, b)
+        for n in (1, 2, 3, 8):
+            part = q.full_report_stack(states.take(slice(0, n)), a[:n], b[:n])
+            for field in REPORT_FIELDS:
+                got, want = getattr(part, field), getattr(full, field)[:n]
+                assert got.tobytes() == want.tobytes(), (n, field)
+        for row in range(8):
+            one = q.full_report(states.state(row), a[row], b[row])
+            for field in REPORT_FIELDS:
+                got, want = np.array(getattr(one, field)), getattr(full, field)[row]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (row, field)
 
     def test_report_fields_match_oracle(self, re_triple):
         triples = [re_triple, *random_triples(20, (2, 3, 4, 6), seed=109)]
