@@ -48,8 +48,13 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max entrywise |M - M^dagger|, over every matrix of a stack."""
-    return float(np.abs(m - _adjoint(m)).max())
+    """max entrywise |M - M^dagger|, over every matrix of a stack.
+
+    Finite entries can differ by more than the largest double; the defect
+    is then inf, without a warning, and the matrix is not Hermitian.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.abs(m - _adjoint(m)).max())
 
 
 def _check_hermitian(a: np.ndarray, what: str) -> np.ndarray:
@@ -62,7 +67,8 @@ def _check_hermitian(a: np.ndarray, what: str) -> np.ndarray:
             f"{what} is not Hermitian: "
             f"max |M - M^dagger| = {defect:.3e} > {HERMITIAN_TOL:.0e}"
         )
-    return (a + _adjoint(a)) / 2.0
+    # halves first, so that entries near the largest double do not overflow
+    return a / 2.0 + _adjoint(a) / 2.0
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:

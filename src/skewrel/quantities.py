@@ -10,11 +10,14 @@ For a density matrix rho and Hermitian H (centered as H0 = H - <H> I):
     U(H)      = sqrt(I J) = sqrt(V^2 - (V - I)^2)
     Corr(A,B) = Tr[rho A B] - Tr[sqrt(rho) A sqrt(rho) B]
 
-plus the one-parameter family I_alpha(H), computed in the eigenbasis of
-rho, and the eigenbasis (spectral) forms of I and the J lower bound used
-for cross-checks.  Each is built from the H0 of one helper, _centered,
-so H + c I gives the values of H.  full_report evaluates every functional
-of one triple and full_report_stack of N triples, through one kernel.
+plus the one-parameter family I_alpha(H) and the eigenbasis (spectral)
+forms of I and the J lower bound used for cross-checks.  Those, and the
+bound chain of relations.proof_chain, are weighted sums over one rotation
+h_ij = <phi_i|H0|phi_j> into the eigenbasis of rho (_eigenbasis_elements),
+taken by one helper (_weighted_sum); the spectral I is its alpha = 1/2
+case.  Each is built from the H0 of one helper, _centered, so H + c I
+gives the values of H.  full_report evaluates every functional of one
+triple and full_report_stack of N triples, through one kernel.
 """
 
 from __future__ import annotations
@@ -65,10 +68,12 @@ class DensityMatrix:
     eigenvalues (d,) sorted descending with solver dust pinned to 0,
     eigenvectors (d, d) with eigenvectors[:, j] paired with
     eigenvalues[j], and the PSD square root sqrt (d, d).  They are
-    computed once and reused by every functional.
+    computed once and reused by every functional.  A state holds nothing
+    else: the eigenbasis weights are formed from the eigenvalues on each
+    call, so no functional writes to a state.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "sqrt", "_weights")
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors", "sqrt")
 
     def __init__(self, matrix):
         self._take_row(StateStack(linalg.as_complex_matrix(matrix)[None]), 0)
@@ -90,7 +95,6 @@ class DensityMatrix:
         self.eigenvalues = stack.eigenvalues[i]
         self.eigenvectors = stack.eigenvectors[i]
         self.sqrt = stack.sqrt[i]
-        self._weights = None
 
     @property
     def dim(self) -> int:
@@ -160,7 +164,8 @@ class StateStack:
             raise NegativeSpectrum(
                 f"density matrix is not PSD: smallest eigenvalue {lowest:.3e}"
             )
-        tr = w.sum(axis=-1)
+        with np.errstate(over="ignore"):  # a trace beyond the largest double is inf
+            tr = w.sum(axis=-1)
         off = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # also catches a NaN spectrum from overflow
         if off.any():
             raise TraceNotOne(
@@ -261,6 +266,23 @@ def _eigenbasis_elements(rho: DensityMatrix, *hs) -> np.ndarray:
     return _adjoint(v) @ h0 @ v
 
 
+def _weighted_sum(helems: np.ndarray, pa: np.ndarray, pb=None, plus=False) -> float:
+    """(1/2) sum_{i != j} (pa_i -+ pa_j)(pb_i -+ pb_j) |h_ij|^2 over rotated elements h_ij.
+
+    With pa = l^alpha, pb = l^(1-alpha) and the minus sign this is
+    I_alpha, whose weight vanishes on the diagonal by itself.  pb defaults
+    to pa, the alpha = 1/2 case pa = pb = sqrt(l); with the plus sign
+    that is the J lower bound, whose weight (sqrt(l_i) + sqrt(l_j))^2 is
+    cut off the diagonal.
+    """
+    op = np.add if plus else np.subtract
+    wa = op(pa[:, None], pa)
+    weight = wa * (wa if pb is None else op(pb[:, None], pb))
+    if plus:
+        weight.flat[:: len(pa) + 1] = 0.0
+    return 0.5 * float(np.vdot(weight, (helems * helems.conj()).real))
+
+
 def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
     """One-parameter skew information (1/2) Tr[(i[rho^a, H])(i[rho^(1-a), H])].
 
@@ -270,17 +292,14 @@ def wyd_skew_information(rho: DensityMatrix, h, alpha: float) -> float:
     changes no exact value, but H + c I loses no precision.  Only the
     open interval 0 < alpha < 1 is accepted: at the endpoints rho^0 would
     be rank-dependent, so the request is rejected rather than silently
-    computed.  Symmetric under alpha <-> 1 - alpha and equal to the skew
-    information I (full_report's i_a, i_b) at alpha = 1/2.
+    computed.  Symmetric under alpha <-> 1 - alpha; at alpha = 1/2 it is
+    the same sum as spectral_sums' skew_information, and equal to the
+    skew information I (full_report's i_a, i_b).
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
-    helems = _eigenbasis_elements(rho, h)[0]
     lam = rho.eigenvalues  # dust-pinned, so already >= 0
-    pa = lam**alpha
-    pb = lam ** (1.0 - alpha)
-    weight = np.subtract.outer(pa, pa) * np.subtract.outer(pb, pb)
-    return _real_floor(0.5 * float(np.vdot(weight, (helems * helems.conj()).real)))
+    return _real_floor(_weighted_sum(matrix_elements(rho, h), lam**alpha, lam ** (1.0 - alpha)))
 
 
 def matrix_elements(rho: DensityMatrix, h) -> np.ndarray:
@@ -297,37 +316,15 @@ class SpectralSums:
     j_diagonal_term: float      # 2 sum_i l_i h_ii^2
 
 
-def _eigenbasis_weights(rho: DensityMatrix):
-    """Weights of the eigenbasis sums of rho, computed once per state.
-
-    Returns (roots, minus_sq, plus_sq, offdiag, upper): sqrt(l_i);
-    (sqrt(l_i) - sqrt(l_j))^2; (sqrt(l_i) + sqrt(l_j))^2 with a zero
-    diagonal; and the masks of i != j and of i < j.  The arrays are shared
-    by every caller and must not be modified.
-    """
-    if rho._weights is None:
-        lam = rho.eigenvalues  # dust-pinned, so already >= 0
-        n = len(lam)
-        roots = np.sqrt(lam)
-        minus_sq = np.subtract.outer(roots, roots) ** 2
-        plus_sq = np.add.outer(roots, roots) ** 2
-        plus_sq.flat[:: n + 1] = 0.0
-        offdiag = ~np.eye(n, dtype=bool)
-        upper = np.triu(offdiag)
-        rho._weights = (roots, minus_sq, plus_sq, offdiag, upper)
-    return rho._weights
-
-
 def spectral_sums(rho: DensityMatrix, h) -> SpectralSums:
-    """All three eigenbasis sums from a single pass over the matrix elements."""
+    """All three eigenbasis sums from one rotation of H0."""
     helems = matrix_elements(rho, h)
-    _, minus_sq, plus_sq, _, _ = _eigenbasis_weights(rho)
-    abs_sq = np.abs(helems) ** 2
-    diag = np.real(np.diagonal(helems))
+    lam = rho.eigenvalues
+    roots = np.sqrt(lam)
     return SpectralSums(
-        skew_information=0.5 * float((minus_sq * abs_sq).sum()),
-        j_lower_bound=0.5 * float((plus_sq * abs_sq).sum()),
-        j_diagonal_term=2.0 * float((rho.eigenvalues * diag**2).sum()),
+        skew_information=_weighted_sum(helems, roots),
+        j_lower_bound=_weighted_sum(helems, roots, plus=True),
+        j_diagonal_term=2.0 * float(np.vdot(lam, helems.diagonal().real ** 2)),
     )
 
 

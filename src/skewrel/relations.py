@@ -123,13 +123,15 @@ def proof_chain(
 ) -> ProofChainTrace:
     """Evaluate every intermediate bound between |Corr|^2 and U(A) U(B).
 
-    All sums run over the eigenbasis of rho with a_ij = <phi_i|A0|phi_j>
-    and b_ji = <phi_j|B0|phi_i>:
+    All sums run over the eigenbasis of rho, on one rotation of A0 and B0
+    to a_ij = <phi_i|A0|phi_j> and b_ji = <phi_j|B0|phi_i>:
 
       t_corr_sq  |sum_{i != j} (l_i - sqrt(l_i l_j)) a_ij b_ji|^2
-      t_triangle square of the entrywise modulus bound on that sum
+      t_triangle (sum_{i != j} |l_i - sqrt(l_i l_j)| |a_ij b_ji|)^2
       t_schwarz  (sum (sqrt(l_i)-sqrt(l_j))^2 |a_ij|^2)
-                 * (sum (sqrt(l_i)+sqrt(l_j))^2 |b_ij|^2), sums over i<j
+                 * (sum (sqrt(l_i)+sqrt(l_j))^2 |b_ij|^2), sums over i<j;
+                 that is spectral_sums(A).skew_information times
+                 spectral_sums(B).j_lower_bound, from the same weighted sums
       t_ij       I(A) J(B)
       t_ji       I(B) J(A)
       t_uu       U(A) U(B)
@@ -141,27 +143,16 @@ def proof_chain(
         report = quantities.full_report(rho, a, b)
     aelem, belem = quantities._eigenbasis_elements(rho, a, b)
     lam = rho.eigenvalues
-    roots, minus_sq, plus_sq, offdiag, upper = quantities._eigenbasis_weights(rho)
-
-    geo = np.multiply.outer(roots, roots)       # sqrt(l_i l_j)
-    coef = lam[:, None] - geo                   # l_i - sqrt(l_i l_j)
-    cross = aelem * belem.T                     # a_ij b_ji
-    corr_sum = complex((coef[offdiag] * cross[offdiag]).sum())
-    t_corr_sq = _square(abs(corr_sum))
-
-    moduli = np.abs(coef) * np.abs(cross)       # |l_i - sqrt(l_i l_j)| |a_ij| |b_ji|
-    t_triangle = _square(float((moduli[upper] + moduli.T[upper]).sum()))
-
-    abs_a_sq = np.abs(aelem) ** 2
-    abs_b_sq = np.abs(belem) ** 2
-    t_schwarz = float((minus_sq * abs_a_sq)[upper].sum()) * float(
-        (plus_sq * abs_b_sq)[upper].sum()
-    )
+    roots = np.sqrt(lam)
+    coef = lam[:, None] - roots[:, None] * roots  # l_i - sqrt(l_i l_j)
+    coef.flat[:: len(lam) + 1] = 0.0              # the sums run over i != j
+    cross = aelem * belem.T                       # a_ij b_ji
 
     return ProofChainTrace(
-        t_corr_sq=t_corr_sq,
-        t_triangle=t_triangle,
-        t_schwarz=t_schwarz,
+        t_corr_sq=_square(abs(complex(np.vdot(coef, cross)))),
+        t_triangle=_square(float(np.vdot(np.abs(coef), np.abs(cross)))),
+        t_schwarz=quantities._weighted_sum(aelem, roots)
+        * quantities._weighted_sum(belem, roots, plus=True),
         t_ij=report.i_a * report.j_b,
         t_ji=report.i_b * report.j_a,
         t_uu=report.u_a * report.u_b,

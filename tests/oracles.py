@@ -4,11 +4,12 @@ Everything here deliberately avoids the package's own code paths: a
 cyclic Jacobi eigensolver with complex rotations for eigensystems (the
 library uses LAPACK), direct trace formulas for the functionals (I_alpha
 from fractional matrix powers, where the library works in the
-eigenbasis), explicit double loops for the eigenbasis sums, and the
-standard library's json encoder with ``indent=2`` for the wire writer.  The one exception is
-lockstep_refine, the one-step-at-a-time reference walk for witness
-refinement: it uses the library's evaluation path on purpose, so that
-comparing it with search.refine_witnesses isolates the walk schedule.
+eigenbasis), explicit double loops for the eigenbasis sums and the bound
+chain, and the standard library's json encoder with ``indent=2`` for the
+wire writer.  The one exception is lockstep_refine, the
+one-step-at-a-time reference walk for witness refinement: it uses the
+library's evaluation path on purpose, so that comparing it with
+search.refine_witnesses isolates the walk schedule.
 """
 
 import json
@@ -188,6 +189,34 @@ def spectral_sums(rho, h) -> tuple[float, float, float]:
         max(w[i], 0.0) * helems[i, i].real ** 2 for i in range(n)
     )
     return i_sum, j_sum, slack
+
+
+def proof_chain(rho, a, b) -> tuple[float, float, float]:
+    """(t_corr_sq, t_triangle, t_schwarz) of relations.proof_chain via explicit i < j loops.
+
+    Eigenvalues below quantities.EIGENVALUE_DUST count as 0, the library's
+    rule for states.  Each loop step adds the (i, j) and (j, i) terms.
+    """
+    w, v = jacobi_eigh(rho)
+    w = np.where(w < quantities.EIGENVALUE_DUST, 0.0, w)
+    ae = v.conj().T @ centered(rho, a) @ v
+    be = v.conj().T @ centered(rho, b) @ v
+    roots = np.sqrt(w)
+    corr_sum = 0.0j
+    modulus_sum = 0.0
+    i_sum = 0.0
+    j_sum = 0.0
+    n = len(w)
+    for i in range(n):
+        for j in range(i + 1, n):
+            geo = roots[i] * roots[j]
+            for p, q in ((i, j), (j, i)):
+                term = (w[p] - geo) * ae[p, q] * be[q, p]
+                corr_sum += term
+                modulus_sum += abs(term)
+            i_sum += (roots[i] - roots[j]) ** 2 * abs(ae[i, j]) ** 2
+            j_sum += (roots[i] + roots[j]) ** 2 * abs(be[i, j]) ** 2
+    return abs(corr_sum) ** 2, modulus_sum**2, i_sum * j_sum
 
 
 def matrix_to_wire(m) -> list:

@@ -537,6 +537,7 @@ DOCUMENTS = st.one_of(
 class TestWireFuzz:
     """Any JSON document gives a result or a documented exit code, never a traceback."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(problems() | JSON)
     def test_problem_from_wire(self, doc):

@@ -135,6 +135,21 @@ def test_input_within_tolerance_is_stored_as_hermitian_part():
             assert Observable(m).matrix.tobytes() == h.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [[[1, 1e308], [-1e308, 1]], [[0, 0], [0, 1e308j]]])
+def test_overflowing_defect_is_not_hermitian_without_warning(m):
+    # M - M^dagger overflows to inf although every entry is finite
+    assert linalg.hermiticity_defect(np.array(m, dtype=complex)) == np.inf
+    with pytest.raises(NotHermitian):
+        Observable(m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_part_of_huge_entries_stays_finite():
+    m = np.full((2, 2), 1e308 + 1e-80j)
+    assert Observable(m).matrix.tobytes() == np.full((2, 2), 1e308 + 0j).tobytes()
+
+
 # The fractional powers of the I_alpha trace-form oracle.
 
 

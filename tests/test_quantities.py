@@ -88,6 +88,11 @@ class TestValidation:
         with pytest.raises(TraceNotOne):
             DensityMatrix(np.diag([0.5, 0.6]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_trace_without_warning(self):
+        with pytest.raises(TraceNotOne):
+            DensityMatrix(np.diag([1e308, 1e308]))
+
     def test_observable_must_be_hermitian(self):
         with pytest.raises(NotHermitian):
             Observable(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -238,6 +238,34 @@ class TestProofChain:
             corr = quantities.full_report(rho, a, b).corr
             assert t.t_corr_sq == pytest.approx(abs(corr) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ensembles.KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_matches_oracle(self, kind, scale):
+        for d in (2, 3, 4, 8):
+            spec = EnsembleSpec(dim=d, seed=71, kind=kind, rank=d // 2 if kind == "rank_k" else None)
+            for i in range(3):
+                drawn = ensembles.random_density(spec, i)
+                a = ensembles.random_observable(d, scale, 73, i)
+                b = ensembles.random_observable(d, scale, 79, i)
+                ref = oracles.proof_chain(drawn.matrix, a.matrix, b.matrix)
+                # within a tied eigenvalue the eigenbasis is free, and t_triangle
+                # and t_schwarz depend on that choice, so the library runs in the
+                # oracle's Jacobi basis; t_corr_sq does not depend on it
+                rho = DensityMatrix.from_spectral(*oracles.jacobi_eigh(drawn.matrix))
+                got = relations.proof_chain(rho, a, b)
+                # relative, with a floor for values that vanish (rho = I/2 commutes with A, B)
+                floor = 1e-3 * scale**4
+                for g, r in zip((got.t_corr_sq, got.t_triangle, got.t_schwarz), ref):
+                    assert abs(g - r) <= 1e-12 * max(abs(r), floor)
+                t = relations.proof_chain(drawn, a, b)
+                assert abs(t.t_corr_sq - ref[0]) <= 1e-10 * max(ref[0], floor)
+                # the Schwarz term and the spectral I are the shared weighted sums
+                sa, sb = quantities.spectral_sums(drawn, a), quantities.spectral_sums(drawn, b)
+                schwarz = sa.skew_information * sb.j_lower_bound
+                assert abs(t.t_schwarz - schwarz) <= 1e-14 * schwarz
+                wy = quantities.wyd_skew_information(drawn, a, 0.5)
+                assert abs(sa.skew_information - wy) <= 1e-14 * wy
+
     def test_verdict_structure(self):
         report = quantities.full_report(*cov_variant_triple())
         v = relations.verdict_from_report(report, "heisenberg")
